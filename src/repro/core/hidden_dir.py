@@ -14,6 +14,7 @@ Each entry carries the child's display name, its on-disk *physical name*
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.header import OBJ_DIRECTORY, OBJ_FILE
 from repro.core.hidden_file import HiddenFile
@@ -53,9 +54,16 @@ class HiddenDirEntry:
         """Whether the entry names a hidden directory."""
         return self.object_type == OBJ_DIRECTORY
 
+    @cached_property
+    def _keys(self) -> ObjectKeys:
+        # Derived once per entry (three HMACs), so the entries of a cached
+        # listing keep theirs; cached_property writes the instance dict
+        # directly, which a frozen dataclass allows.
+        return ObjectKeys.derive(self.physical_name, self.fak)
+
     def keys(self) -> ObjectKeys:
         """Key bundle addressing the entry's object."""
-        return ObjectKeys.derive(self.physical_name, self.fak)
+        return self._keys
 
     def to_bytes(self) -> bytes:
         """Serialise one entry."""
@@ -100,11 +108,24 @@ def parse_entries(raw: bytes) -> dict[str, HiddenDirEntry]:
 
 
 class HiddenDirectory:
-    """A directory listing stored inside a hidden object."""
+    """A directory listing stored inside a hidden object.
+
+    A view, not a copy: the parsed listing lives on the shared
+    :class:`HiddenFile`, so every ``HiddenDirectory`` over one object sees
+    the same entries and only the first after a miss parses them.  A saved
+    listing is a new dict, never a mutated one — readers under a shared
+    lock may be iterating the old one.
+    """
 
     def __init__(self, hidden: HiddenFile) -> None:
         self._hidden = hidden
-        self._entries = parse_entries(hidden.read())
+
+    @property
+    def _entries(self) -> dict[str, HiddenDirEntry]:
+        listing = self._hidden.listing
+        if listing is None:
+            listing = self._hidden.listing = parse_entries(self._hidden.read())
+        return listing
 
     @classmethod
     def open(cls, volume: HiddenVolume, keys: ObjectKeys) -> "HiddenDirectory":
@@ -150,25 +171,27 @@ class HiddenDirectory:
 
     def add(self, entry: HiddenDirEntry) -> None:
         """Insert an entry and persist the listing."""
-        if entry.name in self._entries:
+        entries = self._entries
+        if entry.name in entries:
             raise StegFSError(f"hidden entry {entry.name!r} already exists")
-        self._entries[entry.name] = entry
-        self._save()
+        self._save({**entries, entry.name: entry})
 
     def replace(self, entry: HiddenDirEntry) -> None:
         """Overwrite an entry (used by revocation's re-keying) and persist."""
-        if entry.name not in self._entries:
+        entries = self._entries
+        if entry.name not in entries:
             raise HiddenObjectNotFoundError(f"no hidden entry {entry.name!r}")
-        self._entries[entry.name] = entry
-        self._save()
+        self._save({**entries, entry.name: entry})
 
     def remove(self, name: str) -> HiddenDirEntry:
         """Delete an entry and persist; returns the removed entry."""
-        if name not in self._entries:
+        entries = dict(self._entries)
+        if name not in entries:
             raise HiddenObjectNotFoundError(f"no hidden entry {name!r}")
-        entry = self._entries.pop(name)
-        self._save()
+        entry = entries.pop(name)
+        self._save(entries)
         return entry
 
-    def _save(self) -> None:
-        self._hidden.write(serialize_entries(self._entries))
+    def _save(self, entries: dict[str, HiddenDirEntry]) -> None:
+        self._hidden.write(serialize_entries(entries))
+        self._hidden.listing = entries

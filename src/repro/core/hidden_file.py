@@ -18,9 +18,20 @@ This module is the heart of the reproduction — the per-object mechanics of
 Pool blocks are *reserved indices with untouched contents* — they still
 hold the mkfs random fill, which is exactly what sealed data blocks look
 like.
+
+A :class:`HiddenFile` is the *one* in-core object of its hidden object:
+:meth:`HiddenFile.open` returns the volume's open-object table entry and
+only a miss walks the locator stream; the entry carries the unsealed
+header, the block map and (for directories) the parsed listing, and every
+write updates them in place.  Like the kernel's inode cache under the
+paper's implementation, this is what makes a connected object cost its
+data blocks and nothing else.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.core import blockio, hidden_inode, locator
 from repro.core.header import NULL_BLOCK, OBJ_DIRECTORY, OBJ_FILE, HiddenHeader
@@ -31,8 +42,27 @@ from repro.errors import HiddenObjectExistsError, HiddenObjectNotFoundError, NoS
 __all__ = ["HiddenFile"]
 
 
+def _find(volume: HiddenVolume, keys: ObjectKeys) -> tuple[int, HiddenHeader]:
+    return locator.find_header(
+        volume.device,
+        volume.bitmap,
+        keys,
+        volume.params.locator_scan_limit,
+        min_block=volume.data_start,
+    )
+
+
 class HiddenFile:
-    """One open hidden object (regular file or directory payload)."""
+    """One open hidden object (regular file or directory payload).
+
+    Obtained from :meth:`open` or :meth:`create` only, and shared: every
+    opener of one object on one volume gets the same instance while it is
+    in the volume's open-object table.  A handle kept past that (evicted,
+    table emptied by an aborted transaction, object deleted or re-keyed)
+    finds the object again on its next use, and raises
+    :class:`HiddenObjectNotFoundError` if it is gone.  Callers serialise
+    mutations, as for transactions; reads may run concurrently.
+    """
 
     def __init__(
         self,
@@ -45,6 +75,8 @@ class HiddenFile:
         self._keys = keys
         self._header_block = header_block
         self._header = header
+        self._map: tuple[list[int], list[int]] | None = None
+        self._listing: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -70,13 +102,7 @@ class HiddenFile:
         """
         if check_exists:
             try:
-                locator.find_header(
-                    volume.device,
-                    volume.bitmap,
-                    keys,
-                    volume.params.locator_scan_limit,
-                    min_block=volume.data_start,
-                )
+                _find(volume, keys)
             except HiddenObjectNotFoundError:
                 pass
             else:
@@ -103,21 +129,24 @@ class HiddenFile:
             )
             hidden = cls(volume, keys, header_block, header)
             hidden._store_header()
+            volume.objects.enter(hidden)
             if data:
                 hidden.write(data)
             return hidden
 
     @classmethod
     def open(cls, volume: HiddenVolume, keys: ObjectKeys) -> "HiddenFile":
-        """Open an existing hidden object; raises if absent or wrong key."""
-        block, header = locator.find_header(
-            volume.device,
-            volume.bitmap,
-            keys,
-            volume.params.locator_scan_limit,
-            min_block=volume.data_start,
-        )
-        return cls(volume, keys, block, header)
+        """Open an existing hidden object; raises if absent or wrong key.
+
+        The table is keyed by the signature derived from the access key,
+        so a wrong key misses and then fails in the locator exactly as it
+        would on a cold volume; a failed lookup enters nothing.
+        """
+        hidden = volume.objects.lookup(keys.signature)
+        if hidden is None:
+            hidden = cls(volume, keys, *_find(volume, keys))
+            volume.objects.enter(hidden)
+        return hidden
 
     def delete(self) -> None:
         """Remove the object: free every block it holds.
@@ -126,52 +155,71 @@ class HiddenFile:
         them is unnecessary (they are indistinguishable from free-space
         fill) and would time-stamp the deletion for a snapshot attacker.
         """
-        with self._volume.transaction():
+        with self._update():
             data_blocks, chain_blocks = self._mapped_blocks()
             self._volume.release_blocks(data_blocks)
             self._volume.release_blocks(chain_blocks)
             self._volume.release_blocks(self._header.pool)
             self._volume.release_blocks([self._header_block])
-            self._header.pool = []
-            self._header.size = 0
-            self._header.inode_root = NULL_BLOCK
+            self._volume.objects.discard(self)
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
 
     @property
+    def signature(self) -> bytes:
+        """The object's derived signature — its open-object table key."""
+        return self._keys.signature
+
+    @property
     def size(self) -> int:
         """Current object size in bytes."""
+        self._sync()
         return self._header.size
 
     @property
     def object_type(self) -> int:
         """OBJ_FILE or OBJ_DIRECTORY."""
+        self._sync()
         return self._header.object_type
 
     @property
     def is_directory(self) -> bool:
         """Whether this object is a hidden directory."""
-        return self._header.object_type == OBJ_DIRECTORY
+        return self.object_type == OBJ_DIRECTORY
 
     @property
     def header_block(self) -> int:
         """Device block holding the sealed header."""
+        self._sync()
         return self._header_block
 
     @property
     def pool_size(self) -> int:
         """Current number of internally-held free blocks."""
+        self._sync()
         return len(self._header.pool)
+
+    @property
+    def listing(self) -> dict[str, Any] | None:
+        """The contents as :class:`~repro.core.hidden_dir.HiddenDirectory`
+        last parsed or saved them; ``None`` once anything else wrote."""
+        self._sync()
+        return self._listing
+
+    @listing.setter
+    def listing(self, entries: dict[str, Any]) -> None:
+        self._listing = entries
 
     def footprint(self) -> dict[str, list[int]]:
         """Ground-truth block ownership, for tests and attack analysis."""
+        self._sync()
         data_blocks, chain_blocks = self._mapped_blocks()
         return {
             "header": [self._header_block],
-            "inode": chain_blocks,
-            "data": data_blocks,
+            "inode": list(chain_blocks),
+            "data": list(data_blocks),
             "pool": list(self._header.pool),
         }
 
@@ -191,6 +239,7 @@ class HiddenFile:
         vectorised unseal pass straight into a single output buffer —
         the batched pipeline end-to-end, no per-block slices to join.
         """
+        self._sync()
         data_blocks, _chain = self._mapped_blocks()
         images = self._volume.device.read_blocks(data_blocks)
         return blockio.unseal_concat(
@@ -207,6 +256,7 @@ class HiddenFile:
         """
         if offset < 0 or length < 0:
             raise ValueError(f"negative extent ({offset=}, {length=})")
+        self._sync()
         end = min(offset + length, self._header.size)
         if offset >= end:
             return b""
@@ -228,19 +278,15 @@ class HiddenFile:
         Surviving blocks are rewritten in place with fresh nonces; growth
         draws on the internal pool per §3.1; shrinkage feeds it.  All data
         blocks are sealed in one vectorised pass and reach the device in
-        one scatter-gather write.
+        one scatter-gather write; the inode chain and the header follow
+        only if the update changed them.
         """
         volume = self._volume
-        with volume.transaction():
+        with self._update():
             room = blockio.capacity(volume.block_size)
             n_data = -(-len(data) // room) if data else 0
-            old_data, old_chain = self._mapped_blocks()
-            n_chain = hidden_inode.chain_blocks_needed(n_data, volume.block_size)
-
-            self._ensure_space(n_data, n_chain, len(old_data), len(old_chain))
-
-            data_blocks = self._resize(old_data, n_data)
-            chain_blocks = self._resize(old_chain, n_chain)
+            pool_before = list(self._header.pool)
+            data_blocks, chain_blocks = self._remap(n_data)
 
             # Slicing a view keeps each chunk a zero-copy window into the
             # caller's buffer (which may itself be a wire-frame view);
@@ -251,11 +297,7 @@ class HiddenFile:
                 self._keys.encryption_key, chunks, volume.block_size, volume.rng
             )
             volume.device.write_blocks(list(zip(data_blocks, sealed)))
-            self._header.inode_root = hidden_inode.write_chain(
-                volume.device, self._keys.encryption_key, chain_blocks, data_blocks, volume.rng
-            )
-            self._header.size = len(data)
-            self._store_header()
+            self._settle(data_blocks, chain_blocks, len(data), pool_before)
 
     def write_extent(self, offset: int, data: bytes) -> None:
         """Write ``data`` at byte ``offset``, growing the object if needed.
@@ -271,8 +313,7 @@ class HiddenFile:
             raise ValueError(f"negative write offset {offset}")
         if not data:
             return
-        volume = self._volume
-        with volume.transaction():
+        with self._update():
             self._write_extent(offset, data)
 
     def _write_extent(self, offset: int, data: bytes) -> None:
@@ -281,16 +322,10 @@ class HiddenFile:
         # caller handed us (bytes, bytearray, or a wire-frame view).
         data = memoryview(data)
         room = blockio.capacity(volume.block_size)
-        old_size = self._header.size
-        new_size = max(old_size, offset + len(data))
-        n_data = -(-new_size // room)
-        old_data, old_chain = self._mapped_blocks()
-        n_chain = hidden_inode.chain_blocks_needed(n_data, volume.block_size)
-
-        self._ensure_space(n_data, n_chain, len(old_data), len(old_chain))
-
-        data_blocks = self._resize(old_data, n_data)
-        chain_blocks = self._resize(old_chain, n_chain)
+        new_size = max(self._header.size, offset + len(data))
+        old_data, _chain = self._mapped_blocks()
+        pool_before = list(self._header.pool)
+        data_blocks, chain_blocks = self._remap(-(-new_size // room))
 
         first = offset // room
         last = (offset + len(data) - 1) // room
@@ -330,21 +365,13 @@ class HiddenFile:
         volume.device.write_blocks(
             [(data_blocks[logical], image) for logical, image in zip(targets, sealed)]
         )
-
-        root_before = self._header.inode_root
-        if data_blocks != old_data or chain_blocks != old_chain:
-            self._header.inode_root = hidden_inode.write_chain(
-                volume.device, self._keys.encryption_key, chain_blocks, data_blocks, volume.rng
-            )
-        if new_size != old_size or self._header.inode_root != root_before:
-            self._header.size = new_size
-            self._store_header()
+        self._settle(data_blocks, chain_blocks, new_size, pool_before)
 
     def append(self, data: bytes) -> None:
         """Append ``data`` via :meth:`write_extent` at the current end —
         no whole-object rewrite."""
         if data:
-            self.write_extent(self._header.size, data)
+            self.write_extent(self.size, data)
 
     # ------------------------------------------------------------------
     # internal pool management (§3.1)
@@ -382,25 +409,94 @@ class HiddenFile:
             self._give_block(blocks.pop())
         return blocks
 
-    def _ensure_space(self, n_data: int, n_chain: int, old_data: int, old_chain: int) -> None:
-        growth = max(0, n_data - old_data) + max(0, n_chain - old_chain)
+    def _remap(self, n_data: int) -> tuple[list[int], list[int]]:
+        """The block map resized to ``n_data`` data blocks, through the pool.
+
+        Raises :class:`NoSpaceError` before anything changes.
+        """
+        old_data, old_chain = self._mapped_blocks()
+        n_chain = hidden_inode.chain_blocks_needed(n_data, self._volume.block_size)
+        growth = max(0, n_data - len(old_data)) + max(0, n_chain - len(old_chain))
         from_fs = max(0, growth - len(self._header.pool))
         if from_fs > self._volume.bitmap.free_count:
             raise NoSpaceError(
                 f"write needs {from_fs} free blocks, only "
                 f"{self._volume.bitmap.free_count} remain"
             )
+        return self._resize(old_data, n_data), self._resize(old_chain, n_chain)
+
+    def _settle(
+        self, data_blocks: list[int], chain_blocks: list[int], size: int, pool_before: list[int]
+    ) -> None:
+        """Persist whatever of the map and the header an update changed.
+
+        The chain is rewritten when the map moved; the header when size,
+        root or pool did (a pool that changed must reach the disk, or its
+        blocks leak on the next mount).  The contents changed either way,
+        so the parsed listing goes.
+        """
+        header = self._header
+        root = header.inode_root
+        if (data_blocks, chain_blocks) != self._mapped_blocks():
+            root = hidden_inode.write_chain(
+                self._volume.device,
+                self._keys.encryption_key,
+                chain_blocks,
+                data_blocks,
+                self._volume.rng,
+            )
+            self._map = (data_blocks, chain_blocks)
+        self._listing = None
+        if (size, root, header.pool) != (header.size, header.inode_root, pool_before):
+            header.size, header.inode_root = size, root
+            self._store_header()
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
+    def _sync(self) -> None:
+        """Be the table's entry for this object before trusting any state.
+
+        The usual case is one dictionary probe.  A handle that is no longer
+        the entry finds its header again — raising
+        :class:`HiddenObjectNotFoundError` for a deleted or re-keyed object
+        — forgets map and listing, and takes the entry over.
+        """
+        if not self._volume.objects.holds(self):
+            self._header_block, self._header = _find(self._volume, self._keys)
+            self._map = self._listing = None
+            self._volume.objects.enter(self)
+
+    @contextmanager
+    def _update(self) -> Iterator[None]:
+        """Transaction scope of one update of the object, in core and on disk."""
+        self._sync()
+        try:
+            with self._volume.transaction():
+                yield
+        except BaseException:
+            # Pool, map or header may be half-changed; an enclosing
+            # transaction that survives (or a bare device, which has none)
+            # must not meet this state again.
+            self._volume.objects.discard(self)
+            raise
+
     def _mapped_blocks(self) -> tuple[list[int], list[int]]:
-        if self._header.inode_root == NULL_BLOCK:
-            return [], []
-        return hidden_inode.read_chain(
-            self._volume.device, self._keys.encryption_key, self._header.inode_root
-        )
+        """``(data_blocks, chain_blocks)``, walked once; treat as read-only."""
+        # Through a local: another reader re-finding this same handle may
+        # reset the attribute between the test and the return.
+        mapped = self._map
+        if mapped is None:
+            root = self._header.inode_root
+            mapped = self._map = (
+                ([], [])
+                if root == NULL_BLOCK
+                else hidden_inode.read_chain(
+                    self._volume.device, self._keys.encryption_key, root
+                )
+            )
+        return mapped
 
     def _store_header(self) -> None:
         payload = self._header.to_bytes()

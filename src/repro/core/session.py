@@ -5,11 +5,18 @@
 session logout — makes it invisible again.  Data is decrypted on the fly at
 access time, never en masse at connect time, matching the paper's API
 notes.
+
+A session remembers *which* objects it connected (their directory entries);
+the objects themselves are the volume's open-object table entries, shared
+with every other path to them.  So a connected name always reads what was
+last written — by this session, the facade or another user sharing the
+object — and raises :class:`~repro.errors.HiddenObjectNotFoundError` once
+the object is deleted or re-keyed.
 """
 
 from __future__ import annotations
 
-from repro.core.hidden_dir import HiddenDirEntry, parse_entries
+from repro.core.hidden_dir import HiddenDirectory, HiddenDirEntry
 from repro.core.hidden_file import HiddenFile
 from repro.core.volume import HiddenVolume
 from repro.errors import NotConnectedError
@@ -23,7 +30,6 @@ class Session:
     def __init__(self, volume: HiddenVolume, user_id: str = "user") -> None:
         self._volume = volume
         self._user_id = user_id
-        self._connected: dict[str, HiddenFile] = {}
         self._entries: dict[str, HiddenDirEntry] = {}
 
     @property
@@ -33,11 +39,11 @@ class Session:
 
     def connected_names(self) -> list[str]:
         """Sorted names currently visible in this session."""
-        return sorted(self._connected)
+        return sorted(self._entries)
 
     def is_connected(self, name: str) -> bool:
         """Whether ``name`` is visible."""
-        return name in self._connected
+        return name in self._entries
 
     # ------------------------------------------------------------------
     # connect / disconnect
@@ -46,26 +52,23 @@ class Session:
     def connect_entry(self, name: str, entry: HiddenDirEntry) -> HiddenFile:
         """Attach a resolved entry under ``name``; recurses into directories."""
         hidden = HiddenFile.open(self._volume, entry.keys())
-        self._connected[name] = hidden
         self._entries[name] = entry
         if hidden.is_directory:
             # "Connecting a hidden directory reveals all its offsprings."
-            for child in parse_entries(hidden.read()).values():
+            for child in HiddenDirectory(hidden).entries.values():
                 self.connect_entry(f"{name}/{child.name}", child)
         return hidden
 
     def disconnect(self, name: str) -> None:
         """Detach ``name`` (and, for directories, everything beneath it)."""
-        if name not in self._connected:
+        if name not in self._entries:
             raise NotConnectedError(f"{name!r} is not connected")
         prefix = name + "/"
-        for victim in [n for n in self._connected if n == name or n.startswith(prefix)]:
-            del self._connected[victim]
+        for victim in [n for n in self._entries if n == name or n.startswith(prefix)]:
             del self._entries[victim]
 
     def disconnect_all(self) -> None:
         """Logout semantics: every connected object becomes invisible."""
-        self._connected.clear()
         self._entries.clear()
 
     # ------------------------------------------------------------------
@@ -73,11 +76,9 @@ class Session:
     # ------------------------------------------------------------------
 
     def get(self, name: str) -> HiddenFile:
-        """The connected object, or :class:`NotConnectedError`."""
-        hidden = self._connected.get(name)
-        if hidden is None:
-            raise NotConnectedError(f"{name!r} is not connected")
-        return hidden
+        """The connected object: :class:`NotConnectedError` if ``name`` is not
+        connected, :class:`HiddenObjectNotFoundError` if it no longer exists."""
+        return HiddenFile.open(self._volume, self.entry(name).keys())
 
     def entry(self, name: str) -> HiddenDirEntry:
         """The directory entry behind a connected name."""
@@ -98,4 +99,4 @@ class Session:
         hidden = self.get(name)
         if not hidden.is_directory:
             raise NotConnectedError(f"{name!r} is not a hidden directory")
-        return sorted(parse_entries(hidden.read()))
+        return HiddenDirectory(hidden).names()

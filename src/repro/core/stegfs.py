@@ -23,7 +23,7 @@ from typing import ContextManager
 from repro.core.backup import create_backup, restore_backup
 from repro.core.dummy import DummyManager
 from repro.core.header import OBJ_DIRECTORY, OBJ_FILE
-from repro.core.hidden_dir import HiddenDirectory, HiddenDirEntry, parse_entries
+from repro.core.hidden_dir import HiddenDirectory, HiddenDirEntry
 from repro.core.hidden_file import HiddenFile
 from repro.core.keys import generate_fak, physical_name
 from repro.core.params import StegFSParams
@@ -375,7 +375,7 @@ class StegFS:
             if entry is None:
                 raise HiddenObjectNotFoundError(f"no hidden object {objname!r}")
             hidden = HiddenFile.open(self._volume, entry.keys())
-            if hidden.is_directory and parse_entries(hidden.read()):
+            if hidden.is_directory and HiddenDirectory(hidden).names():
                 raise StegFSError(f"hidden directory {objname!r} is not empty")
             hidden.delete()
             directory.remove(name)
@@ -418,7 +418,7 @@ class StegFS:
             hidden = HiddenFile.open(self._volume, entry.keys())
             if hidden.is_directory:
                 self._fs.mkdir(pathname)
-                for child_name in sorted(parse_entries(hidden.read())):
+                for child_name in HiddenDirectory(hidden).names():
                     self.steg_unhide(
                         f"{pathname.rstrip('/')}/{child_name}", f"{objname}/{child_name}", uak
                     )

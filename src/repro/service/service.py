@@ -748,6 +748,9 @@ class StegFSService:
         with self._volume_lock.write_locked():
             self._steg.flush()
             self._steg.device.flush()
+            # In-core hidden objects are keyed material in RAM: none
+            # outlives the service that served them.
+            self._steg.volume.objects.clear()
         if self._restore_sync is not None:
             # Hand the volume back with its own durability policy: direct
             # StegFS use after the service must not silently lose the

@@ -39,7 +39,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import JournalError
 from repro.obs.metrics import get_registry, percentile
@@ -216,6 +216,7 @@ class TransactionManager:
         self.stats = TxnStats()
         self._active: Transaction | None = None
         self._depth = 0
+        self._abort_hooks: list[Callable[[], None]] = []
         self._last_commit_seq = 0
         # Committed-but-not-durable images, index → (seq, image).  Reads
         # resolve through this until the in-place write happens.
@@ -257,13 +258,26 @@ class TransactionManager:
     # transaction scopes
     # ------------------------------------------------------------------
 
+    def add_abort_hook(self, hook: Callable[[], None]) -> None:
+        """Call ``hook`` whenever an outermost transaction aborts.
+
+        For in-core state that mirrors staged blocks (the hidden layer's
+        open-object table): the journal just discarded what it described.
+        """
+        self._abort_hooks.append(hook)
+
+    def _aborted(self) -> None:
+        for hook in self._abort_hooks:
+            hook()
+
     @contextmanager
     def transaction(self) -> Iterator[Transaction]:
         """Open (or join) a transaction scope.
 
         Nested scopes join the outermost transaction; only the outermost
         exit commits.  An exception aborts the whole transaction: every
-        staged write is discarded and nothing reaches the device.
+        staged write is discarded, nothing reaches the device, and the
+        abort hooks run — as they do when the commit itself fails.
         """
         if self._depth == 0:
             self._active = Transaction()
@@ -274,11 +288,16 @@ class TransactionManager:
             self._depth -= 1
             if self._depth == 0:
                 self._active = None  # abort: discard staged writes
+                self._aborted()
             raise
         self._depth -= 1
         if self._depth == 0:
             txn, self._active = self._active, None
-            self.commit(txn)  # type: ignore[arg-type]
+            try:
+                self.commit(txn)  # type: ignore[arg-type]
+            except BaseException:
+                self._aborted()
+                raise
 
     # ------------------------------------------------------------------
     # read resolution (for JournaledDevice)
@@ -326,7 +345,7 @@ class TransactionManager:
                 # every *other* record replayable.
                 self.stats.note_bypass()
                 self.checkpoint()
-                self._device.write_blocks(writes)
+                self._device.write_blocks(sorted(writes))
                 self._device.flush()
                 return None
             needed = record_blocks_needed(len(writes), self._device.block_size)
@@ -401,6 +420,7 @@ class TransactionManager:
                 ]
             if not ready:
                 return
+            ready.sort()  # ascending block order: one sweep of the disk arm
             self._device.write_blocks(ready)
             with self._overlay_lock:
                 for index, image in ready:
@@ -442,7 +462,7 @@ class TransactionManager:
                         ]
                         self._overlay.clear()
                     if ready:
-                        self._device.write_blocks(ready)
+                        self._device.write_blocks(sorted(ready))
                 self._device.flush()
                 self._journal.reset()
                 self.stats.note_checkpoint()
@@ -511,6 +531,8 @@ class JournaledDevice(BlockDevice):
             else:
                 missing.append(index)
         if missing:
+            # Address order, whatever order the caller wants them back in.
+            missing = sorted(set(missing))
             for index, image in zip(missing, self._backing.read_blocks(missing)):
                 resolved[index] = image
         return [resolved[index] for index in indices]

@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
-from repro.errors import JournalError
+from repro.errors import DeviceClosedError, JournalError
 from repro.storage.block_device import RamDevice
 from repro.storage.journal import Journal
+from repro.storage.trace import TraceRecordingDevice
 from repro.storage.txn import JournaledDevice, TransactionManager
 
 BS = 256
@@ -200,3 +201,99 @@ class TestWithoutJournal:
             device.write_block(100, b"\x33" * BS)
             image = device.image()
             assert image[100 * BS : 101 * BS] == b"\x33" * BS
+
+
+def _traced(sync_on_commit=True):
+    backing = TraceRecordingDevice(RamDevice(BS, TOTAL))
+    log = Journal(backing, J_START, J_BLOCKS, BS)
+    log.format()
+    manager = TransactionManager(backing, log, sync_on_commit=sync_on_commit)
+    return backing, manager, JournaledDevice(backing, manager)
+
+
+def _in_place(ops):
+    """Accessed blocks of the data region, in order (not the journal's own)."""
+    return [op.block for op in ops if op.block >= J_START + J_BLOCKS]
+
+
+class TestAddressOrder:
+    """Batches cross the journal boundary in ascending block order."""
+
+    def test_reads_fetch_sorted_and_return_in_request_order(self):
+        backing, manager, device = _traced()
+        for index in (90, 50, 70):
+            backing.write_block(index, bytes([index]) * BS)
+        with manager.transaction(), backing.recording("reads") as trace:
+            device.write_block(60, b"\x01" * BS)  # staged: not fetched at all
+            images = device.read_blocks([90, 50, 60, 70, 50])
+        assert [image[0] for image in images] == [90, 50, 1, 70, 50]
+        assert _in_place(trace.reads()) == [50, 70, 90]
+
+    def test_durable_images_apply_ascending(self):
+        backing, manager, device = _traced()
+        with backing.recording("commit") as trace, manager.transaction():
+            for index in (90, 50, 70):
+                device.write_block(index, bytes([index]) * BS)
+        assert _in_place(trace.writes()) == [50, 70, 90]
+
+    def test_checkpoint_applies_ascending(self):
+        backing, manager, device = _traced(sync_on_commit=False)
+        with backing.recording("commit") as trace:
+            with manager.transaction():
+                for index in (90, 50, 70):
+                    device.write_block(index, bytes([index]) * BS)
+            assert _in_place(trace.writes()) == []  # not durable yet
+            manager.checkpoint()
+        assert _in_place(trace.writes()) == [50, 70, 90]
+
+    def test_oversized_commit_bypasses_ascending(self):
+        backing, manager, device = _traced(sync_on_commit=False)
+        order = list(range(40 + J_BLOCKS, 40, -1))
+        with backing.recording("commit") as trace, manager.transaction():
+            for index in order:
+                device.write_block(index, bytes([index]) * BS)
+        assert manager.stats.snapshot().bypass_commits == 1
+        assert _in_place(trace.writes()) == sorted(order)
+
+
+class TestAbortHooks:
+    def test_outermost_abort_runs_hooks_once(self):
+        _backing, manager, device = _stack()
+        calls = []
+        manager.add_abort_hook(lambda: calls.append("aborted"))
+        with pytest.raises(RuntimeError):
+            with manager.transaction():
+                with manager.transaction():
+                    device.write_block(100, b"\x01" * BS)
+                    raise RuntimeError("boom")
+        assert calls == ["aborted"]
+
+    def test_nested_failure_caught_inside_does_not_abort(self):
+        _backing, manager, device = _stack()
+        calls = []
+        manager.add_abort_hook(lambda: calls.append("aborted"))
+        with manager.transaction():
+            with pytest.raises(RuntimeError):
+                with manager.transaction():
+                    raise RuntimeError("handled by the outer scope")
+            device.write_block(100, b"\x02" * BS)
+        assert calls == []
+        assert device.read_block(100) == b"\x02" * BS
+
+    def test_failed_commit_runs_hooks(self):
+        backing, manager, device = _stack()
+        calls = []
+        manager.add_abort_hook(lambda: calls.append("aborted"))
+        with pytest.raises(DeviceClosedError):
+            with manager.transaction():
+                device.write_block(100, b"\x03" * BS)
+                backing.close()  # the journal append will fail
+        assert calls == ["aborted"]
+
+    def test_clean_commit_runs_none(self):
+        _backing, manager, device = _stack()
+        calls = []
+        manager.add_abort_hook(lambda: calls.append("aborted"))
+        with manager.transaction():
+            device.write_block(100, b"\x04" * BS)
+        assert calls == []

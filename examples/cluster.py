@@ -6,8 +6,9 @@ that spans *several* of them at once:
 
 1. start two real `StegFSServer` processes (daemon threads here, but
    genuine sockets) plus two embedded service volumes, and assemble a
-   4-shard `ClusterClient` — consistent-hash routing, replication
-   factor 3, write quorum 2;
+   4-shard `BlockingClusterClient` — the asyncio cluster engine behind a
+   blocking surface — with consistent-hash routing, replication factor
+   3, write quorum 2;
 2. store hidden files and watch their replicas land on ring placements;
 3. kill a shard mid-workload: writes keep acking on the surviving
    quorum, reads fail over, nothing acked is lost;
@@ -24,8 +25,13 @@ from __future__ import annotations
 
 import random
 
-from repro.cluster import ClusterClient, RemoteShard, ServiceShard, rebalance
-from repro.cluster.coordinator import hidden_key
+from repro.cluster import (
+    AsyncClusterClient,
+    AsyncRemoteShard,
+    AsyncServiceShard,
+    BlockingClusterClient,
+)
+from repro.cluster.aio import hidden_key
 from repro.core import StegFS, StegFSParams
 from repro.crypto import derive_key
 from repro.net import start_in_thread
@@ -55,22 +61,32 @@ def main() -> None:
         start_in_thread(services[0], credentials={USER: uak}),
         start_in_thread(services[1], credentials={USER: uak}),
     ]
-    shards = {
-        "remote-0": RemoteShard.connect(*handles[0].address, user_id=USER, uak=uak),
-        "remote-1": RemoteShard.connect(*handles[1].address, user_id=USER, uak=uak),
-        "local-0": ServiceShard(services[2], owns_service=True),
-        "local-1": ServiceShard(services[3], owns_service=True),
-    }
-    cluster = ClusterClient(
-        shards, replication=3, write_quorum=2, owns_backends=True
-    )
-    print(f"cluster up: {sorted(cluster.shards)} (RF=3, W=2)")
+
+    async def build() -> AsyncClusterClient:
+        # Runs on the client's own event loop: remote shards dial there.
+        shards = {
+            "remote-0": await AsyncRemoteShard.connect(
+                *handles[0].address, user_id=USER, uak=uak
+            ),
+            "remote-1": await AsyncRemoteShard.connect(
+                *handles[1].address, user_id=USER, uak=uak
+            ),
+            "local-0": AsyncServiceShard(services[2], owns_service=True),
+            "local-1": AsyncServiceShard(services[3], owns_service=True),
+        }
+        return AsyncClusterClient(
+            shards, replication=3, write_quorum=2, owns_backends=True
+        )
+
+    cluster = BlockingClusterClient(build)
+    ring = cluster.async_client  # placement and shard inspection
+    print(f"cluster up: {sorted(ring.shards)} (RF=3, W=2)")
 
     # -- 2. hidden files spread over ring placements ----------------------
     documents = {f"doc-{i}": f"draft {i} — eyes only".encode() * 20 for i in range(6)}
     for name, data in documents.items():
         cluster.steg_create(name, uak, data=data)
-        print(f"  {name}: placed on {cluster.placement(hidden_key(name, uak))}")
+        print(f"  {name}: placed on {ring.placement(hidden_key(name, uak))}")
 
     # -- 3. kill a shard mid-workload -------------------------------------
     print("\nstopping remote-1's server process...")
@@ -88,10 +104,8 @@ def main() -> None:
     print(f"  health: { {s: h.state.value for s, h in cluster.health.snapshot().items()} }")
 
     # -- 4. replace the dead shard, restore full redundancy ---------------
-    replacement = ServiceShard(make_service(99), owns_service=True)
-    report = rebalance.replace_shard(
-        cluster, "remote-1", "local-2", replacement, uaks=(uak,)
-    )
+    replacement = AsyncServiceShard(make_service(99), owns_service=True)
+    report = cluster.replace_shard("remote-1", "local-2", replacement, uaks=(uak,))
     print(
         f"\nreplace_shard: {report.moved} objects migrated/repaired, "
         f"{report.verified} verified byte-identical, failed={report.failed}"
@@ -103,25 +117,25 @@ def main() -> None:
 
     # -- 5. the same idea with IDA dispersal ------------------------------
     ida_services = [make_service(seed) for seed in (11, 12, 13, 14)]
-    ida_cluster = ClusterClient(
-        {
-            f"shard-{i}": ServiceShard(service, owns_service=True)
-            for i, service in enumerate(ida_services)
-        },
-        mode="ida",
-        ida_m=2,
-        ida_n=4,
-        owns_backends=True,
+    ida_shards = {
+        f"shard-{i}": AsyncServiceShard(service, owns_service=True)
+        for i, service in enumerate(ida_services)
+    }
+    ida_cluster = BlockingClusterClient(
+        lambda: AsyncClusterClient(
+            ida_shards, mode="ida", ida_m=2, ida_n=4, owns_backends=True
+        )
     )
     secret = b"MEETING AT MIDNIGHT, DOCK 7. BURN AFTER READING." * 8
     ida_cluster.steg_create("secret-plan", uak, data=secret)
-    placement = ida_cluster.placement(hidden_key("secret-plan", uak))
-    share = ida_cluster.shards[placement[0]].steg_read("secret-plan", uak)
+    ida_cluster.flush()  # the create acked at quorum: let the last share land
+    placement = ida_cluster.async_client.placement(hidden_key("secret-plan", uak))
+    share = ida_shards[placement[0]].service.steg_read("secret-plan", uak)
     print("\nIDA mode (m=2, n=4):")
     print(f"  data {len(secret)} B -> 4 shares of ~{len(share)} B (factor n/m = 2)")
     print(f"  one share contains the plaintext: {secret[:24] in share}")
     for victim in placement[:2]:
-        ida_cluster.shards[victim].service.close()  # kill up to n - m shards
+        ida_shards[victim].service.close()  # kill up to n - m shards
         print(
             f"  after killing {victim}: "
             f"reconstructs -> {ida_cluster.steg_read('secret-plan', uak) == secret}"

@@ -40,9 +40,6 @@ from repro.cluster import (
     AsyncRemoteShard,
     AsyncServiceShard,
     BlockingClusterClient,
-    ClusterClient,
-    RemoteShard,
-    ServiceShard,
 )
 from repro.core import (
     HiddenDirEntry,
@@ -86,7 +83,6 @@ __all__ = [
     "BlockingClusterClient",
     "CacheStats",
     "CachedDevice",
-    "ClusterClient",
     "DiskModel",
     "DiskParameters",
     "FileDevice",
@@ -99,8 +95,6 @@ __all__ = [
     "MetricRegistry",
     "ObjectKeys",
     "RamDevice",
-    "RemoteShard",
-    "ServiceShard",
     "Session",
     "SessionManager",
     "SlowLog",

@@ -6,7 +6,6 @@ import sys
 
 from repro.bench import (
     ablation,
-    cluster_async,
     cluster_throughput,
     detectability,
     durability,
@@ -34,7 +33,6 @@ _EXPERIMENTS = {
     "net": lambda: net_throughput.render(net_throughput.run()),
     "durability": lambda: durability.render(durability.run()),
     "cluster": lambda: cluster_throughput.render(cluster_throughput.run()),
-    "cluster-async": lambda: cluster_async.render(cluster_async.run()),
     "obs": lambda: obs_overhead.render(obs_overhead.run()),
     "stream": lambda: stream_path.render(stream_path.run()),
     "detectability": lambda: detectability.render(detectability.run()),

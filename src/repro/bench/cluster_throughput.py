@@ -6,7 +6,7 @@ objects over independent volumes whose (real-sleep) device latencies
 overlap.  Each shard is a full StegFS service over a
 :class:`~repro.storage.latency.LatencyDevice`-priced RAM volume; a fixed
 pool of client threads drives the familiar read-heavy hidden-file mix
-through a :class:`~repro.cluster.ClusterClient` at 1 → 8 shards.
+through a :class:`~repro.cluster.BlockingClusterClient` at 1 → 8 shards.
 
 The geometry is held constant while the cluster grows: replication 2
 (degrading gracefully to 1 on the single-shard baseline), write quorum
@@ -29,8 +29,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.bench.common import format_table, write_result
-from repro.cluster.backend import ServiceShard
-from repro.cluster.coordinator import ClusterClient
+from repro.cluster.aio import AsyncClusterClient, AsyncServiceShard, BlockingClusterClient
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
 from repro.service.service import StegFSService
@@ -105,7 +104,7 @@ class ClusterThroughputResult:
 
 def _build_cluster(
     n_shards: int, config: ClusterThroughputConfig
-) -> ClusterClient:
+) -> BlockingClusterClient:
     """n independent latency-priced StegFS volumes behind one coordinator."""
     shards = {}
     for index in range(n_shards):
@@ -125,14 +124,15 @@ def _build_cluster(
             auto_flush=False,
         )
         service = StegFSService(steg, max_workers=config.n_clients)
-        shards[f"shard-{index}"] = ServiceShard(service, owns_service=True)
-    return ClusterClient(
-        shards,
-        replication=config.replication,
-        write_quorum=config.write_quorum,
-        read_fanout=1,
-        max_workers=config.n_clients * 2,
-        owns_backends=True,
+        shards[f"shard-{index}"] = AsyncServiceShard(service, owns_service=True)
+    return BlockingClusterClient(
+        lambda: AsyncClusterClient(
+            shards,
+            replication=config.replication,
+            write_quorum=config.write_quorum,
+            read_fanout=1,
+            owns_backends=True,
+        )
     )
 
 
@@ -166,12 +166,12 @@ def run(
             payload_size=config.payload_size,
             seed=config.seed + n_shards,
         )
-        stats = cluster.stats.snapshot()
+        stats = cluster.stats
         result.ops_per_sec.append(run_result.ops_per_sec)
         result.p50_ms.append(run_result.latency_ms(50))
         result.errors.append(run_result.total_errors)
-        result.repairs.append(stats["read_repairs"])
-        result.degraded.append(stats["degraded_writes"])
+        result.repairs.append(stats["async.read_repairs"])
+        result.degraded.append(stats["async.degraded_writes"])
         cluster.close()
     return result
 

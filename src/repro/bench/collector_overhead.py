@@ -31,8 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.bench.common import format_table, write_result
-from repro.cluster.backend import ServiceShard
-from repro.cluster.coordinator import ClusterClient
+from repro.cluster.aio import AsyncClusterClient, AsyncServiceShard, BlockingClusterClient
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
 from repro.obs.cluster import TelemetryCollector
@@ -105,7 +104,7 @@ class CollectorOverheadResult:
 
 def _build_cluster(
     config: CollectorOverheadConfig,
-) -> tuple[ClusterClient, list[str]]:
+) -> tuple[BlockingClusterClient, list[str]]:
     shards = {}
     for index in range(config.shards):
         steg = StegFS.mkfs(
@@ -115,10 +114,12 @@ def _build_cluster(
             rng=random.Random(config.seed + index),
             auto_flush=False,
         )
-        shards[f"shard-{index}"] = ServiceShard(
+        shards[f"shard-{index}"] = AsyncServiceShard(
             StegFSService(steg, max_workers=4), owns_service=True
         )
-    cluster = ClusterClient(shards, replication=2, write_quorum=2)
+    cluster = BlockingClusterClient(
+        lambda: AsyncClusterClient(shards, replication=2, write_quorum=2)
+    )
     payload_rng = random.Random(config.seed)
     names = []
     for index in range(config.n_files):
@@ -130,7 +131,7 @@ def _build_cluster(
     return cluster, names
 
 
-def _trial(cluster: ClusterClient, names: list[str], ops: int) -> float:
+def _trial(cluster: BlockingClusterClient, names: list[str], ops: int) -> float:
     """Mean microseconds per cluster steg_read over one trial."""
     started = time.perf_counter()
     for index in range(ops):
@@ -148,8 +149,12 @@ def run(
     result = CollectorOverheadResult(config=config)
     cluster, names = _build_cluster(config)
     try:
-        # Warm-up: fault in code paths and the FS's own caches un-timed.
-        _trial(cluster, names, min(50, config.ops_per_trial))
+        # Warm-up, one whole trial un-timed: code paths, the FS's own
+        # caches, and every shard's worker pool.  While the pools are
+        # still spawning threads a read's losing leg is shed before it
+        # runs, so the first ~100 reads cost one leg of CPU instead of
+        # two and would hand the "off" arm an unbeatable best trial.
+        _trial(cluster, names, config.ops_per_trial)
         for _ in range(config.trials):
             result.us_per_op.setdefault("off", []).append(
                 _trial(cluster, names, config.ops_per_trial)

@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass, field
 
 from repro.bench.common import format_table, write_result
-from repro.cluster.backend import ServiceShard
 from repro.cluster.dummy_sched import DummyScheduler
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
@@ -124,9 +123,7 @@ def _run_arm(
             rng=random.Random(config.seed + index),
             auto_flush=False,
         )
-        shards[f"shard-{index}"] = ServiceShard(
-            StegFSService(steg, max_workers=2), owns_service=True
-        )
+        shards[f"shard-{index}"] = StegFSService(steg, max_workers=2)
     now = [0.0]
     try:
         collector = TelemetryCollector(

@@ -8,13 +8,15 @@ one namespace:
 * :mod:`repro.cluster.ring` — consistent-hash placement with virtual
   nodes: every object maps to a deterministic ordered list of shards,
   and adding/removing a shard moves only the keys whose arc changed.
-* :mod:`repro.cluster.backend` — the shard-side protocol: in-process
-  :class:`~repro.service.StegFSService` volumes and remote
-  :class:`~repro.net.client.StegFSClient` connections behind one
-  interface, so a cluster can span real ``StegFSServer`` processes.
-* :mod:`repro.cluster.coordinator` — :class:`ClusterClient`, the
-  client-facing facade: quorum-replicated or IDA-dispersed hidden
-  files, versioned fragments, read-repair, failover.
+* :mod:`repro.cluster.aio` — the one data plane.
+  :class:`AsyncClusterClient` is the coordinator: quorum-replicated or
+  IDA-dispersed hidden files, versioned fragments, first-ack-wins reads,
+  early-ack writes, read-repair, failover — over in-process
+  (:class:`AsyncServiceShard`) and remote (:class:`AsyncRemoteShard`)
+  volumes behind one :class:`AsyncShardBackend` interface, so a cluster
+  can span real ``StegFSServer`` processes.
+  :class:`BlockingClusterClient` is the same engine for threaded
+  callers.
 * :mod:`repro.cluster.dummy_sched` — fleet-wide dummy-churn scheduling
   with stagger and seeded jitter, so per-shard maintenance never drums
   in the lockstep a multi-disk snapshot attacker correlates on.
@@ -29,12 +31,18 @@ from repro.cluster.aio import (
     AsyncServiceShard,
     AsyncShardBackend,
     BlockingClusterClient,
+    ClusterStats,
 )
-from repro.cluster.backend import SHARD_FAILURES, RemoteShard, ServiceShard, ShardBackend
-from repro.cluster.coordinator import ClusterClient, ClusterStats
+from repro.cluster.backend import SHARD_FAILURES
 from repro.cluster.dummy_sched import DummyScheduler
 from repro.cluster.health import HealthMonitor, ShardState
-from repro.cluster.rebalance import RebalanceReport, add_shard, remove_shard, repair
+from repro.cluster.rebalance import (
+    RebalanceReport,
+    add_shard,
+    remove_shard,
+    repair,
+    replace_shard,
+)
 
 __all__ = [
     "SHARD_FAILURES",
@@ -43,16 +51,13 @@ __all__ = [
     "AsyncServiceShard",
     "AsyncShardBackend",
     "BlockingClusterClient",
-    "ClusterClient",
     "ClusterStats",
     "DummyScheduler",
     "HealthMonitor",
     "RebalanceReport",
-    "RemoteShard",
-    "ServiceShard",
-    "ShardBackend",
     "ShardState",
     "add_shard",
     "remove_shard",
     "repair",
+    "replace_shard",
 ]

@@ -1,48 +1,55 @@
-"""Async-native cluster data plane: pipelined fan-out, first-ack reads.
+"""The cluster data plane: one asyncio engine, two call styles.
 
-The threaded :class:`~repro.cluster.coordinator.ClusterClient` fans each
-operation out on a worker pool over *blocking* shard calls, so its
-concurrency — not the shards' — caps throughput: every in-flight leg
-costs a pool thread, and a read waits for its slowest consulted replica.
-This module rebuilds that hot path asyncio-first:
+A *client-side* fourth tier that holds no data of its own.  Every
+operation hashes the object's name onto the ring
+(:mod:`repro.cluster.ring`), takes the first ``width`` distinct shards as
+the object's **placement**, and fans the call out to the placement's
+alive members as tasks on one event loop — an in-flight leg costs a
+task, never a thread:
 
-* :class:`AsyncShardBackend` — the awaitable mirror of
-  :class:`~repro.cluster.backend.ShardBackend`, satisfied by
-  :class:`AsyncServiceShard` (in-process volumes through an
-  :class:`~repro.service.aio.AsyncServiceFront`) and
+* :class:`AsyncShardBackend` — what the coordinator needs from one
+  shard, satisfied by :class:`AsyncServiceShard` (in-process volumes
+  through an :class:`~repro.service.aio.AsyncServiceFront`) and
   :class:`AsyncRemoteShard` (pipelined
   :class:`~repro.net.client.AsyncStegFSClient` connections — many
-  in-flight legs per socket, no thread apiece).
-* :class:`AsyncClusterClient` — the coordinator.  Replica reads are
-  **first-ack-wins**: every consulted replica is raced, the first intact
-  fragment at or above the coordinator's own acked version wins, and the
-  losing legs are cancelled (legs still queued behind a slow shard are
-  genuinely shed).  Writes are **early-ack**: legs go out concurrently
-  and the call returns at write quorum while the remaining "straggler"
-  legs drain in the background, serialized against the next same-key
-  mutation.  IDA reads accumulate shares and reconstruct the moment any
-  version has ``m`` of them.
-* :class:`BlockingClusterClient` — the same blocking surface as
-  :class:`~repro.cluster.coordinator.ClusterClient`, implemented as a
-  thin wrapper that drives one :class:`AsyncClusterClient` on a private
-  event-loop thread — for callers that want the async data plane without
-  adopting asyncio.
+  in-flight legs per socket).
+* :class:`AsyncClusterClient` — the coordinator.  ``mode="replicate"``
+  stores a full copy per placement shard inside a versioned
+  :mod:`~repro.cluster.fragment` envelope (W-of-N write quorum);
+  ``mode="ida"`` disperses hidden files with
+  :func:`repro.crypto.ida.disperse` into one share per shard, any
+  ``ida_m`` of which reconstruct the file while fewer reveal nothing
+  beyond the share length (plain files are always replicated).  Writes
+  are **early-ack**: legs go out concurrently and the call returns at
+  write quorum while the remaining "straggler" legs drain in the
+  background, serialized against the next same-key mutation.  IDA reads
+  accumulate shares and reconstruct the moment any version has ``m`` of
+  them.  Dead shards (:class:`~repro.cluster.health.HealthMonitor`) are
+  skipped by reads and writes alike, and stale, missing or corrupt
+  fragments a read meets are **read-repaired** under the per-key lock.
+* :class:`BlockingClusterClient` — the same surface for threaded
+  callers: a thin wrapper that submits each call to one
+  :class:`AsyncClusterClient` on a private event-loop thread.
 
-Semantics kept from the threaded coordinator: the per-coordinator
-version clock and in-memory tombstones, W-of-N / m-of-n quorum checks,
-read-repair (re-checked against the acked clock under the per-key lock),
-failover via the shared :class:`~repro.cluster.health.HealthMonitor`.
-Semantics deliberately weakened: a first-ack read may return an older
-*intact* version than a slower replica holds when the newer write came
-from a different coordinator — the acked-version guard makes the race
-read-your-writes within one coordinator, which is the same session
-guarantee the threaded client offers its own callers.
+Read semantics, recorded once: replica reads are **first-ack-wins** —
+every consulted replica is raced, the first intact fragment at or above
+the version this coordinator itself last acked wins, and the losing legs
+are cancelled (legs still queued behind a slow shard are genuinely
+shed).  That makes reads read-your-writes *per coordinator*; a read may
+return an older intact version than a slower replica holds when the
+newer write came from a different coordinator.  Only when no leg meets
+the acked version does a read wait for every consulted replica and take
+the highest version among them.
 
-Counters land on the shared :class:`~repro.cluster.coordinator.
-ClusterStats` under ``async.*`` names, so the process registry exposes
-them as ``cluster.async.reads``, ``cluster.async.first_ack_wins``,
-``cluster.async.cancelled_legs``, ``cluster.async.early_acks`` and so on
-next to the threaded tier's counters.
+Deletions are quorum deletes plus an **in-memory tombstone** (the
+version floor below which fragments are ignored), which keeps a revived
+stale replica from resurrecting a deleted object within a coordinator's
+lifetime; persisting tombstones cluster-wide is an open roadmap item.
+
+Counters land on :class:`ClusterStats` under ``async.*`` names, which the
+process registry exposes as ``cluster.async.reads``,
+``cluster.async.first_ack_wins``, ``cluster.async.cancelled_legs``,
+``cluster.async.early_acks`` and so on.
 """
 
 from __future__ import annotations
@@ -51,17 +58,22 @@ import asyncio
 import contextlib
 import hashlib
 import inspect
+import threading
 import time
-from typing import Any, Awaitable, Callable, Iterable, Mapping, Protocol, runtime_checkable
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    AsyncIterator,
+    Awaitable,
+    Callable,
+    Iterable,
+    Mapping,
+    Protocol,
+    runtime_checkable,
+)
 
 from repro.cluster.backend import SHARD_FAILURES
-from repro.cluster.coordinator import (
-    ClusterStats,
-    _Outcome,
-    _ReadVerdict,
-    hidden_key,
-    plain_key,
-)
 from repro.cluster.fragment import (
     HEADER_LEN,
     MODE_IDA,
@@ -92,20 +104,110 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import maybe_span
 from repro.service.aio import AsyncServiceFront
 
+if TYPE_CHECKING:
+    from repro.cluster.rebalance import RebalanceReport
+
 __all__ = [
     "AsyncClusterClient",
     "AsyncRemoteShard",
     "AsyncServiceShard",
     "AsyncShardBackend",
     "BlockingClusterClient",
+    "ClusterStats",
+    "hidden_key",
+    "plain_key",
 ]
 
 _ShardCall = Callable[[str, "AsyncShardBackend"], Awaitable[Any]]
 
+#: ``min_version`` no stored fragment can meet: the read then waits for
+#: every consulted replica and takes the newest intact version among them
+#: instead of the first ack (what a migration must copy).
+_NEWEST_OF_ALL = 1 << 64
+
+
+def _canonical(name: str) -> str:
+    return "/".join(part for part in name.split("/") if part)
+
+
+def _key_tag(uak: bytes) -> str:
+    # Non-reversible: enough to tell two keys apart, useless for
+    # recovering either.
+    return hashlib.sha256(uak).hexdigest()[:16]
+
+
+def plain_key(path: str) -> str:
+    """Ring key for a plain path (spelling variants collapse)."""
+    return "p:" + _canonical(path)
+
+
+def hidden_key(objname: str, uak: bytes) -> str:
+    """Ring key for a hidden object — a hash tag, never the raw UAK."""
+    return f"h:{_key_tag(uak)}:{_canonical(objname)}"
+
+
+class ClusterStats:
+    """Thread-safe cluster-level counters (reads, repairs, failovers).
+
+    Every increment is mirrored onto the process-wide
+    :class:`~repro.obs.metrics.MetricRegistry` as ``cluster.<name>``, so
+    ``obs_metrics`` shows cluster behaviour next to device, cache and
+    journal traffic.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts: dict[str, int] = {}
+        self._mirrors: dict[str, Any] = {}
+
+    def increment(self, name: str, by: int = 1) -> None:
+        """Bump one counter (created on first use)."""
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + by
+            mirror = self._mirrors.get(name)
+            if mirror is None:
+                mirror = self._mirrors[name] = get_registry().counter(
+                    f"cluster.{name}"
+                )
+        mirror.inc(by)
+
+    def snapshot(self) -> dict[str, int]:
+        """Point-in-time copy of every counter."""
+        with self._lock:
+            return dict(self._counts)
+
+    def __getitem__(self, name: str) -> int:
+        with self._lock:
+            return self._counts.get(name, 0)
+
+
+@dataclass
+class _Outcome:
+    """Result of one per-shard call inside a fan-out."""
+
+    value: Any = None
+    error: ReproError | None = None
+    down: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None and not self.down
+
+
+@dataclass
+class _ReadVerdict:
+    """What a redundancy-mode read resolved to."""
+
+    data: bytes
+    version: int
+    #: Alive placement shards that must be rewritten to regain full
+    #: redundancy (missing / stale / corrupt fragment).
+    stale: list[str] = field(default_factory=list)
+
 
 @runtime_checkable
 class AsyncShardBackend(Protocol):
-    """What the async coordinator needs from one shard (awaitable)."""
+    """What the coordinator needs from one shard (awaitable)."""
 
     async def ping(self) -> bool:  # pragma: no cover - protocol
         """Liveness check: ``True`` when the shard answers."""
@@ -283,10 +385,6 @@ class AsyncServiceShard:
     async def obs_trace(self, trace_id: str = "") -> str:
         """The shard's span records for one trace (JSON; stitch hook)."""
         return await self._front.call("obs_trace", trace_id)
-
-
-def _key_tag(uak: bytes) -> str:
-    return hashlib.sha256(uak).hexdigest()[:16]
 
 
 class AsyncRemoteShard:
@@ -472,15 +570,14 @@ def _reap(tasks: Iterable[asyncio.Task]) -> None:
 
 
 class AsyncClusterClient:
-    """Route cluster operations over async shards with pipelined fan-out.
+    """Route file and hidden-file operations across N StegFS shards.
 
-    The awaitable counterpart of :class:`~repro.cluster.coordinator.
-    ClusterClient`: same placement (consistent-hash ring), redundancy
-    modes (``replicate`` / ``ida``), quorum rules, version clock,
-    tombstones, read-repair and failover — but every fan-out leg is a
-    task on the caller's event loop instead of a pool thread, replica
-    reads are first-ack-wins with losing legs cancelled, and writes
-    return at quorum with the remaining legs draining in the background.
+    Placement (consistent-hash ring), redundancy modes (``replicate`` /
+    ``ida``), quorum rules, version clock, tombstones, read-repair and
+    failover live here, once.  Every fan-out leg is a task on the
+    caller's event loop, replica reads are first-ack-wins with losing
+    legs cancelled, and writes return at quorum with the remaining legs
+    draining in the background.
 
     One instance belongs to one event loop; it is safe for any number of
     tasks on that loop.  Threaded callers want
@@ -528,6 +625,8 @@ class AsyncClusterClient:
         if not 1 <= ida_m <= ida_n:
             raise ClusterError(f"need 1 <= m <= n, got m={ida_m}, n={ida_n}")
         if ida_write_quorum is None:
+            # m shares are *sufficient*, but acking at m would make the
+            # very next shard loss fatal; m+1 keeps one spare per ack.
             ida_write_quorum = min(ida_n, ida_m + 1)
         if not ida_m <= ida_write_quorum <= ida_n:
             raise ClusterError(
@@ -605,7 +704,13 @@ class AsyncClusterClient:
         return self._ida_n if self._mode == MODE_IDA else self._replication
 
     def stats_snapshot(self) -> dict[str, Any]:
-        """Counters plus per-shard routing state, like the threaded client."""
+        """One observable view of the cluster: counters plus shard states.
+
+        ``counters`` is the :class:`ClusterStats` snapshot; ``shards``
+        maps shard id → routing state (``"alive"`` / ``"dead"``) with the
+        success/failure tallies the failure detector has seen.  Shard ids
+        are operator-chosen labels — no keys or hidden names appear here.
+        """
         health = {
             shard_id: {
                 "state": record.state.value,
@@ -626,8 +731,13 @@ class AsyncClusterClient:
         """The ordered shard placement for a ring key."""
         return self._ring.nodes_for(key, self.width)
 
+    def ring_copy(self) -> HashRing:
+        """Snapshot of the current ring (the rebalancer diffs against it)."""
+        return self._ring.copy()
+
     def attach_shard(self, shard_id: str, backend: AsyncShardBackend) -> None:
-        """Add a shard to the ring (placement changes immediately)."""
+        """Add a shard to the ring — placement changes immediately; use
+        :func:`repro.cluster.rebalance.add_shard` to also migrate data."""
         if shard_id in self._shards:
             raise ClusterError(f"shard {shard_id!r} already attached")
         self._ring.add_node(shard_id)
@@ -726,6 +836,9 @@ class AsyncClusterClient:
             self._versions[key] = (version, exists)
 
     def _next_version(self, key: str, floor: int) -> int:
+        # Deliberately does NOT touch the cache: a write commits its
+        # version only after its store reached quorum, so a refused write
+        # cannot poison it (a failed create marking the object existing).
         current = self._versions.get(key, (0, False))[0]
         return max(current, floor) + 1
 
@@ -1000,15 +1113,15 @@ class AsyncClusterClient:
         what: str,
         min_version: int = 0,
     ) -> _ReadVerdict:
-        """First-ack-wins replica read with the threaded client's fallbacks.
+        """First-ack-wins replica read, widening when the race finds nothing.
 
         ``read_fanout`` bounds the first wave; the read widens to the
         rest of the alive placement when the narrow wave yields nothing
         acceptable.  If no leg produced an acceptable fragment but some
-        produced intact ones (all below ``min_version``), the newest of
-        those wins — mirroring the threaded coordinator's post-widening
-        behaviour.  Only legs that completed are considered for the
-        stale (repair) list; cancelled losers are unknown, not stale.
+        produced intact ones (all below ``min_version``), every leg has
+        been awaited and the newest of those wins.  Only legs that
+        completed are considered for the stale (repair) list; cancelled
+        losers are unknown, not stale.
         """
         alive = self._alive(placement)
         fanout = len(alive) if self._read_fanout is None else self._read_fanout
@@ -1054,7 +1167,7 @@ class AsyncClusterClient:
         at or above ``min_version`` holds ``m`` intact shares, the file
         is reconstructed and the remaining legs are cancelled.  When no
         version gets there early, every leg is awaited and the newest
-        reconstructable version wins — the threaded client's semantics.
+        reconstructable version wins.
         """
         alive = self._alive(placement)
         outcomes: dict[str, _Outcome] = {}
@@ -1192,6 +1305,8 @@ class AsyncClusterClient:
         if not verdict.stale:
             return
         digest = digest_of(verdict.data)
+        # disperse() is deterministic (fixed Vandermonde rows), so shares
+        # regenerated here are byte-identical to the surviving ones.
         shares = disperse(verdict.data, self._ida_m, len(placement))
         position_of = {shard_id: i for i, shard_id in enumerate(placement)}
         envelopes = {
@@ -1333,6 +1448,7 @@ class AsyncClusterClient:
         for outcome in outcomes.values():
             if outcome.ok:
                 names.update(outcome.value)
+        # Tombstoned names stay hidden even while stale shards hold them.
         return sorted(
             name
             for name in names
@@ -1489,10 +1605,109 @@ class AsyncClusterClient:
         for outcome in outcomes.values():
             if outcome.ok:
                 names.update(outcome.value)
+        # Tombstoned names stay hidden even while stale shards hold them.
         return sorted(
             name
             for name in names
             if self._version_floor(hidden_key(name, uak)) == 0
+        )
+
+    # ------------------------------------------------------------------
+    # rebalancer primitives (placement-explicit fetch/store/purge)
+    # ------------------------------------------------------------------
+
+    @contextlib.asynccontextmanager
+    async def exclusive(self, key: str) -> AsyncIterator[None]:
+        """Hold ``key``'s stripe lock with its write stragglers drained.
+
+        The rebalancer's critical section: the ``fetch_*`` /
+        ``store_*_at`` / ``purge_*`` primitives take no lock themselves,
+        so one object's fetch → store → purge → verify runs as a unit
+        that no early-acked leg of a previous write can land inside.
+        """
+        async with self._locked(key):
+            await self._drain_stragglers(key)
+            yield
+
+    async def fetch_plain(
+        self, path: str, placement: tuple[str, ...]
+    ) -> tuple[bytes, int]:
+        """(data, version) of a plain file: the newest intact replica
+        among ``placement``'s alive shards — every one consulted, no repair."""
+        key = plain_key(path)
+        verdict = await self._read_replicated(
+            key,
+            placement,
+            self._version_floor(key),
+            lambda sid, backend: backend.read(path),
+            FileNotFoundError_,
+            path,
+            min_version=_NEWEST_OF_ALL,
+        )
+        return verdict.data, verdict.version
+
+    async def fetch_hidden(
+        self, objname: str, uak: bytes, placement: tuple[str, ...]
+    ) -> tuple[bytes, int]:
+        """(data, version) of a hidden file: the newest intact (or
+        reconstructable) version among ``placement``'s alive shards."""
+        key = hidden_key(objname, uak)
+        read = self._read_dispersed if self._mode == MODE_IDA else self._read_replicated
+        verdict = await read(
+            key,
+            placement,
+            self._version_floor(key),
+            lambda sid, backend: backend.steg_read(objname, uak),
+            HiddenObjectNotFoundError,
+            objname,
+            min_version=_NEWEST_OF_ALL,
+        )
+        return verdict.data, verdict.version
+
+    async def store_plain_at(
+        self, path: str, data: bytes, placement: tuple[str, ...], version: int
+    ) -> None:
+        """Write a plain file's fragments at an explicit placement.
+
+        Unlike a client write this waits for *every* leg: a migration is
+        not done while a replica is still in flight.
+        """
+        key = plain_key(path)
+        await self._store_replicated(
+            key, placement, version, data, self._plain_put(path)
+        )
+        await self._drain_stragglers(key)
+        self._observe_version(key, version)
+
+    async def store_hidden_at(
+        self,
+        objname: str,
+        uak: bytes,
+        data: bytes,
+        placement: tuple[str, ...],
+        version: int,
+    ) -> None:
+        """Write a hidden file's fragments at an explicit placement
+        (every leg awaited — see :meth:`store_plain_at`)."""
+        key = hidden_key(objname, uak)
+        await self._store_hidden(key, objname, uak, placement, version, data)
+        await self._drain_stragglers(key)
+        self._observe_version(key, version)
+
+    async def _purge(self, shard_ids: Iterable[str], call: _ShardCall) -> int:
+        outcomes = await self._fanout(self._health.alive_of(list(shard_ids)), call)
+        return sum(1 for outcome in outcomes.values() if outcome.ok)
+
+    async def purge_plain(self, path: str, shard_ids: Iterable[str]) -> int:
+        """Best-effort fragment removal from shards leaving a placement."""
+        return await self._purge(shard_ids, lambda sid, backend: backend.unlink(path))
+
+    async def purge_hidden(
+        self, objname: str, uak: bytes, shard_ids: Iterable[str]
+    ) -> int:
+        """Best-effort hidden-fragment removal from departing shards."""
+        return await self._purge(
+            shard_ids, lambda sid, backend: backend.steg_delete(objname, uak)
         )
 
     # ------------------------------------------------------------------
@@ -1510,12 +1725,11 @@ class AsyncClusterClient:
         await self._fanout(alive, lambda sid, backend: backend.flush())
 
     async def close(self) -> None:
-        """Drain stragglers, stop probing, optionally close the backends."""
+        """Drain stragglers, optionally close the backends."""
         if self._closed:
             return
         await self._drain_all_stragglers()
         self._closed = True
-        self._health.stop()
         if self._owns_backends:
             for backend in self._shards.values():
                 try:
@@ -1557,8 +1771,9 @@ class BlockingClusterClient:
             [], "AsyncClusterClient | Awaitable[AsyncClusterClient]"
         ],
     ) -> None:
-        import threading
+        from repro.cluster import rebalance  # it imports this module
 
+        self._rebalance = rebalance
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="stegfs-cluster-aio", daemon=True
@@ -1593,7 +1808,7 @@ class BlockingClusterClient:
 
     @property
     def async_client(self) -> AsyncClusterClient:
-        """The wrapped async coordinator (inspect its stats and health)."""
+        """The wrapped coordinator (inspect its ring, shards and stats)."""
         return self._client
 
     @property
@@ -1607,7 +1822,7 @@ class BlockingClusterClient:
         return self._client.health
 
     def stats_snapshot(self) -> dict[str, Any]:
-        """Counters plus per-shard routing state, like the threaded client.
+        """Counters plus per-shard routing state.
 
         The health snapshot is loop-confined state, so the read is
         delegated onto the private loop rather than taken from this
@@ -1690,6 +1905,40 @@ class BlockingClusterClient:
     def steg_list(self, uak: bytes) -> list[str]:
         """Union of hidden names for ``uak`` across alive shards."""
         return self._run(self._client.steg_list(uak))
+
+    # membership (the repro.cluster.rebalance verbs, on the loop) ------
+
+    def add_shard(
+        self, shard_id: str, backend: AsyncShardBackend, uaks: tuple[bytes, ...] = ()
+    ) -> RebalanceReport:
+        """Attach a shard and migrate the ring-affected objects onto it."""
+        return self._run(
+            self._rebalance.add_shard(self._client, shard_id, backend, uaks)
+        )
+
+    def remove_shard(
+        self, shard_id: str, uaks: tuple[bytes, ...] = ()
+    ) -> tuple[RebalanceReport, AsyncShardBackend]:
+        """Drain a shard (alive or dead) and detach it; returns its backend."""
+        return self._run(self._rebalance.remove_shard(self._client, shard_id, uaks))
+
+    def replace_shard(
+        self,
+        dead_id: str,
+        new_id: str,
+        backend: AsyncShardBackend,
+        uaks: tuple[bytes, ...] = (),
+    ) -> RebalanceReport:
+        """Swap a failed shard for a fresh one and restore full redundancy."""
+        return self._run(
+            self._rebalance.replace_shard(
+                self._client, dead_id, new_id, backend, uaks
+            )
+        )
+
+    def repair(self, uaks: tuple[bytes, ...] = ()) -> RebalanceReport:
+        """Rewrite every object at its current placement at full redundancy."""
+        return self._run(self._rebalance.repair(self._client, uaks))
 
     # maintenance -----------------------------------------------------
 

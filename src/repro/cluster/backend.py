@@ -1,389 +1,21 @@
-"""Shard backends: one protocol over in-process services and remote clients.
+"""What "the shard is down" means to the cluster tier.
 
 A **shard** is an ordinary StegFS volume that happens to hold fragments
-for the cluster.  The coordinator speaks to every shard through
-:class:`ShardBackend`, which two adapters satisfy:
-
-* :class:`ServiceShard` — an in-process
-  :class:`~repro.service.StegFSService` (the same object local threads
-  and the TCP server share), with the UAK passed per call;
-* :class:`RemoteShard` — a logged-in
-  :class:`~repro.net.client.StegFSClient`, whose session token is bound
-  to one UAK at login.  The adapter checks per-call keys against a hash
-  of the bound key so a routing bug can never silently read another
-  user's namespace — and never stores the raw key itself.
-
-Because both present the identical surface, a cluster can mix embedded
-volumes with real ``StegFSServer`` processes, and the failover tests can
-swap one for the other without touching the coordinator.
-
-:data:`SHARD_FAILURES` is the transport-error family the coordinator
-converts into health events and failover; every other exception is a
-*logical* answer from a live shard and propagates to the caller.
+for the cluster; the coordinator reaches it through the adapters in
+:mod:`repro.cluster.aio`.  :data:`SHARD_FAILURES` is the transport-error
+family the coordinator (and the dummy-churn scheduler) converts into
+health events and failover; every other exception is a *logical* answer
+from a live shard and propagates to the caller.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Protocol, runtime_checkable
+from repro.errors import DeviceClosedError, NetworkError, ServiceClosedError
 
-from repro.errors import (
-    ClusterError,
-    DeviceClosedError,
-    FileExistsError_,
-    FileNotFoundError_,
-    HiddenObjectExistsError,
-    HiddenObjectNotFoundError,
-    NetworkError,
-    ServiceClosedError,
-)
-
-__all__ = ["SHARD_FAILURES", "RemoteShard", "ServiceShard", "ShardBackend"]
+__all__ = ["SHARD_FAILURES"]
 
 #: Exceptions that mean "the shard is unreachable or down", not "the shard
 #: answered no".  OSError covers raw socket deaths; NetworkError covers the
 #: typed wire failures; Service/DeviceClosedError cover an embedded volume
 #: shut down underneath the coordinator.
 SHARD_FAILURES = (OSError, NetworkError, ServiceClosedError, DeviceClosedError)
-
-
-@runtime_checkable
-class ShardBackend(Protocol):
-    """What the coordinator needs from one shard."""
-
-    def ping(self) -> bool:  # pragma: no cover - protocol
-        """Liveness check: ``True`` when the shard answers."""
-        ...
-
-    # plain namespace -------------------------------------------------
-    def put(self, path: str, data: bytes) -> None:  # pragma: no cover
-        """Create-or-replace a plain file at ``path``."""
-        ...
-
-    def read(self, path: str) -> bytes:  # pragma: no cover - protocol
-        """Read a plain file's full contents."""
-        ...
-
-    def exists(self, path: str) -> bool:  # pragma: no cover - protocol
-        """Whether a plain file exists at ``path``."""
-        ...
-
-    def unlink(self, path: str) -> None:  # pragma: no cover - protocol
-        """Delete a plain file."""
-        ...
-
-    def listdir(self, path: str = "/") -> list[str]:  # pragma: no cover
-        """List plain directory entries under ``path``."""
-        ...
-
-    # hidden namespace ------------------------------------------------
-    def steg_put(self, objname: str, uak: bytes, data: bytes) -> None:  # pragma: no cover
-        """Create-or-replace a hidden object's stored bytes."""
-        ...
-
-    def steg_read(self, objname: str, uak: bytes) -> bytes:  # pragma: no cover
-        """Read a hidden object's stored bytes."""
-        ...
-
-    def steg_read_extent(
-        self, objname: str, uak: bytes, offset: int, length: int
-    ) -> bytes:  # pragma: no cover - protocol
-        """Read ``length`` bytes of a hidden object from ``offset``."""
-        ...
-
-    def steg_delete(self, objname: str, uak: bytes) -> None:  # pragma: no cover
-        """Delete a hidden object."""
-        ...
-
-    def steg_list(self, uak: bytes) -> list[str]:  # pragma: no cover
-        """List hidden object names readable with ``uak``."""
-        ...
-
-    def flush(self) -> None:  # pragma: no cover - protocol
-        """Make the shard's volume durable."""
-        ...
-
-    def close(self) -> None:  # pragma: no cover - protocol
-        """Release the shard's resources (connection or service)."""
-        ...
-
-
-class ServiceShard:
-    """In-process shard: direct calls into a :class:`StegFSService`."""
-
-    def __init__(self, service: "object", *, owns_service: bool = False) -> None:
-        self._service = service
-        self._owns_service = owns_service
-
-    @property
-    def service(self) -> "object":
-        """The wrapped service (tests reach through for direct inspection)."""
-        return self._service
-
-    def ping(self) -> bool:
-        """Liveness: a closed service raises, which the caller maps to dead."""
-        if getattr(self._service, "closed", False):
-            raise ServiceClosedError("shard service has been shut down")
-        return True
-
-    # plain namespace -------------------------------------------------
-
-    def put(self, path: str, data: bytes) -> None:
-        """Upsert a plain file (write, falling back to create).
-
-        The create leg tolerates Exists and re-writes: a concurrent
-        repair thread — or a duplicated delivery from the client's
-        retry-once policy — may have created the file in between, and an
-        upsert must converge on the newest payload either way.
-        """
-        try:
-            self._service.write(path, data)
-        except FileNotFoundError_:
-            try:
-                self._service.create(path, data)
-            except FileExistsError_:
-                self._service.write(path, data)
-
-    def read(self, path: str) -> bytes:
-        """Read a plain file."""
-        return self._service.read(path)
-
-    def exists(self, path: str) -> bool:
-        """Whether a plain path exists on this shard."""
-        return self._service.exists(path)
-
-    def unlink(self, path: str) -> None:
-        """Delete a plain file."""
-        self._service.unlink(path)
-
-    def listdir(self, path: str = "/") -> list[str]:
-        """List a plain directory."""
-        return self._service.listdir(path)
-
-    # hidden namespace ------------------------------------------------
-
-    def steg_put(self, objname: str, uak: bytes, data: bytes) -> None:
-        """Upsert a hidden file (write, falling back to create;
-        Exists on the create leg re-writes — see :meth:`put`)."""
-        try:
-            self._service.steg_write(objname, uak, data)
-        except HiddenObjectNotFoundError:
-            try:
-                self._service.steg_create(objname, uak, data=data)
-            except HiddenObjectExistsError:
-                self._service.steg_write(objname, uak, data)
-
-    def steg_read(self, objname: str, uak: bytes) -> bytes:
-        """Read a hidden file."""
-        return self._service.steg_read(objname, uak)
-
-    def steg_read_extent(
-        self, objname: str, uak: bytes, offset: int, length: int
-    ) -> bytes:
-        """Read one extent of a hidden file (fragment-header probes)."""
-        return self._service.steg_read_extent(objname, uak, offset, length)
-
-    def steg_delete(self, objname: str, uak: bytes) -> None:
-        """Delete a hidden object."""
-        self._service.steg_delete(objname, uak)
-
-    def steg_list(self, uak: bytes) -> list[str]:
-        """List the hidden root for ``uak``."""
-        return self._service.steg_list(uak)
-
-    def flush(self) -> None:
-        """Flush the shard volume."""
-        self._service.flush()
-
-    def close(self) -> None:
-        """Shut the service down if this adapter owns it."""
-        if self._owns_service and not getattr(self._service, "closed", True):
-            self._service.close()
-
-    # maintenance -----------------------------------------------------
-
-    def dummy_tick(self) -> int | None:
-        """One round of dummy churn on this shard (scheduler hook)."""
-        return self._service.dummy_tick()
-
-    def dummy_interval(self, base_s: float, jitter: float = 0.5) -> float:
-        """Next churn delay, drawn from this shard's own volume RNG."""
-        return self._service.dummy_interval(base_s, jitter)
-
-    # observability ---------------------------------------------------
-
-    def obs_snapshot(self) -> str:
-        """The shard's merge-ready telemetry document (JSON; scrape hook)."""
-        return self._service.obs_snapshot()
-
-    def obs_trace(self, trace_id: str = "") -> str:
-        """The shard's span records for one trace (JSON; stitch hook)."""
-        return self._service.obs_trace(trace_id)
-
-    def obs_deniability(self) -> str:
-        """The shard's RAM-only deniability stanza (JSON)."""
-        return self._service.obs_deniability()
-
-
-def _key_tag(uak: bytes) -> str:
-    # Same non-reversible tag the service layer stripes by: enough to
-    # detect a mismatched key, useless for recovering it.
-    return hashlib.sha256(uak).hexdigest()[:16]
-
-
-class RemoteShard:
-    """Remote shard: a :class:`StegFSClient` logged in as one user.
-
-    The client's session token already encodes the UAK server-side, so
-    hidden calls drop the key argument on the wire; the adapter only
-    verifies that the caller's key is the one this session was opened
-    with.
-    """
-
-    def __init__(self, client: "object", uak: bytes, *, owns_client: bool = True) -> None:
-        self._client = client
-        self._tag = _key_tag(uak)
-        self._owns_client = owns_client
-
-    @classmethod
-    def connect(
-        cls,
-        host: str,
-        port: int,
-        user_id: str,
-        uak: bytes,
-        *,
-        pool_size: int = 2,
-        timeout: float | None = 30.0,
-        max_message: int | None = None,
-    ) -> "RemoteShard":
-        """Dial a ``StegFSServer`` and log in; returns the ready adapter.
-
-        ``max_message`` bounds one streamed transfer (fragment payloads
-        larger than a wire frame travel as CHUNK runs); ``None`` keeps
-        the client's default.
-        """
-        from repro.net.client import DEFAULT_MAX_MESSAGE, StegFSClient
-
-        client = StegFSClient(
-            host,
-            port,
-            pool_size=pool_size,
-            timeout=timeout,
-            max_message=DEFAULT_MAX_MESSAGE if max_message is None else max_message,
-        )
-        client.login(user_id, uak)
-        return cls(client, uak)
-
-    def _check_key(self, uak: bytes) -> None:
-        if _key_tag(uak) != self._tag:
-            raise ClusterError(
-                "remote shard session was authenticated with a different key"
-            )
-
-    def ping(self) -> bool:
-        """Round-trip liveness check over the wire."""
-        return self._client.ping()
-
-    # plain namespace -------------------------------------------------
-
-    def put(self, path: str, data: bytes) -> None:
-        """Upsert a plain file on the remote volume.
-
-        Exists on the create leg re-writes: the client's retry-once
-        policy is at-least-once, so a create whose reply was lost may
-        already have landed server-side.
-        """
-        try:
-            self._client.write(path, data)
-        except FileNotFoundError_:
-            try:
-                self._client.create(path, data)
-            except FileExistsError_:
-                self._client.write(path, data)
-
-    def read(self, path: str) -> bytes:
-        """Read a plain file."""
-        return self._client.read(path)
-
-    def exists(self, path: str) -> bool:
-        """Whether a plain path exists on this shard."""
-        return self._client.exists(path)
-
-    def unlink(self, path: str) -> None:
-        """Delete a plain file."""
-        self._client.unlink(path)
-
-    def listdir(self, path: str = "/") -> list[str]:
-        """List a plain directory."""
-        return self._client.listdir(path)
-
-    # hidden namespace ------------------------------------------------
-
-    def steg_put(self, objname: str, uak: bytes, data: bytes) -> None:
-        """Upsert a hidden file on the remote volume (Exists on the
-        create leg re-writes — see :meth:`put`)."""
-        self._check_key(uak)
-        try:
-            self._client.steg_write(objname, data)
-        except HiddenObjectNotFoundError:
-            try:
-                self._client.steg_create(objname, data=data)
-            except HiddenObjectExistsError:
-                self._client.steg_write(objname, data)
-
-    def steg_read(self, objname: str, uak: bytes) -> bytes:
-        """Read a hidden file."""
-        self._check_key(uak)
-        return self._client.steg_read(objname)
-
-    def steg_read_extent(
-        self, objname: str, uak: bytes, offset: int, length: int
-    ) -> bytes:
-        """Read one extent of a hidden file."""
-        self._check_key(uak)
-        return self._client.steg_read_extent(objname, offset, length)
-
-    def steg_delete(self, objname: str, uak: bytes) -> None:
-        """Delete a hidden object."""
-        self._check_key(uak)
-        self._client.steg_delete(objname)
-
-    def steg_list(self, uak: bytes) -> list[str]:
-        """List the session's hidden root."""
-        self._check_key(uak)
-        return self._client.steg_list()
-
-    def flush(self) -> None:
-        """Flush the remote volume."""
-        self._client.flush()
-
-    def close(self) -> None:
-        """Close the pooled connections if this adapter owns them."""
-        if self._owns_client:
-            self._client.close()
-
-    # maintenance -----------------------------------------------------
-
-    def dummy_tick(self) -> int | None:
-        """One round of dummy churn on the remote volume (scheduler hook).
-
-        No ``dummy_interval`` counterpart: the cluster scheduler draws
-        delays for remote shards from its own seeded RNG rather than
-        paying a round trip per delay.
-        """
-        return self._client.dummy_tick()
-
-    # observability ---------------------------------------------------
-
-    def obs_snapshot(self) -> str:
-        """The remote process's telemetry document (JSON, over the wire)."""
-        return self._client.obs_snapshot()
-
-    def obs_trace(self, trace_id: str = "") -> str:
-        """The remote process's spans for one trace (JSON, over the wire)."""
-        return self._client.obs_trace(trace_id)
-
-    def obs_deniability(self) -> str:
-        """The remote process's deniability stanza (JSON, over the wire)."""
-        return self._client.obs_deniability()

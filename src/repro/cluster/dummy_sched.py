@@ -45,8 +45,8 @@ class DummyScheduler:
     """Stagger and jitter ``dummy_tick`` across a fleet of shards.
 
     Args:
-        targets: shard id → anything with ``dummy_tick()`` (both shard
-            adapters, a service, a raw facade).  A ``dummy_interval``
+        targets: shard id → anything with a blocking ``dummy_tick()``
+            (a service, a net client, a raw facade).  A ``dummy_interval``
             method, when present, supplies that shard's jittered gaps
             from its own volume RNG.
         base_interval_s: mean seconds between one shard's ticks.

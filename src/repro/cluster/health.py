@@ -8,9 +8,9 @@ This module turns those observations into a routing decision:
   ``failure_threshold`` the shard is marked :attr:`ShardState.DEAD` and
   the coordinator stops sending it traffic (failover);
 * any success resets the counter and revives the shard;
-* :meth:`HealthMonitor.probe_all` pings dead shards so a restarted
-  backend rejoins without operator action — call it manually from tests
-  or run :meth:`start_probe_loop` on a daemon thread in long-lived
+* :meth:`HealthMonitor.probe_all_async` pings dead shards so a restarted
+  backend rejoins without operator action — call it once after a repair
+  or run :meth:`HealthMonitor.probe_loop` as a task in long-lived
   deployments.
 
 Logical errors (file not found, quorum refused, bad key) are *not*
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import inspect
 import threading
 import time
 from dataclasses import dataclass
@@ -53,7 +52,11 @@ class ShardHealth:
 
 
 class HealthMonitor:
-    """Thread-safe shard state shared by the coordinator's fan-out threads."""
+    """Thread-safe shard state the coordinator routes by.
+
+    The lock is for readers off the event loop (a telemetry collector
+    thread, a :class:`~repro.cluster.aio.BlockingClusterClient` caller).
+    """
 
     def __init__(
         self,
@@ -68,8 +71,6 @@ class HealthMonitor:
         self._clock = clock
         self._lock = threading.Lock()
         self._shards: dict[str, ShardHealth] = {}
-        self._probe_stop: threading.Event | None = None
-        self._probe_thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # registration and queries
@@ -178,58 +179,10 @@ class HealthMonitor:
     # probing
     # ------------------------------------------------------------------
 
-    def probe(self, shard_id: str, backend: "object") -> bool:
+    async def probe_async(self, shard_id: str, backend: "object") -> bool:
         """Ping one backend; update its state from the outcome."""
         try:
-            alive = bool(backend.ping())
-        except Exception:
-            alive = False
-        if alive:
-            self.record_success(shard_id)
-        else:
-            self.record_failure(shard_id)
-        return alive
-
-    def probe_all(self, backends: Mapping[str, "object"]) -> dict[str, bool]:
-        """Probe every **dead** shard (cheap recovery sweep).
-
-        Contract: only shards currently marked DEAD are pinged, and only
-        they appear in the returned ``{shard_id: alive}`` mapping — an
-        empty dict means "every tracked shard was already alive", not
-        "everything is down".  Alive shards are deliberately left alone:
-        their liveness is continuously confirmed by real traffic, and
-        probing them would add load for no information.  A dead shard
-        that answers is revived immediately (:meth:`record_success`),
-        so one sweep after a backend restart restores routing.
-
-        Each ping is a blocking call on the calling thread; use
-        :meth:`probe_all_async` from an event loop.
-        """
-        results: dict[str, bool] = {}
-        for shard_id, backend in backends.items():
-            if not self.is_alive(shard_id):
-                results[shard_id] = self.probe(shard_id, backend)
-        if results:
-            get_events().emit(
-                "cluster.probe_sweep",
-                probed=len(results),
-                revived=sum(1 for alive in results.values() if alive),
-            )
-        return results
-
-    async def probe_async(self, shard_id: str, backend: "object") -> bool:
-        """Ping one backend from an event loop; update state from the outcome.
-
-        Works with both backend flavours: an async ``ping`` coroutine is
-        awaited in place, a blocking ``ping`` is pushed to the default
-        executor so the loop never stalls on a dead socket's timeout.
-        """
-        ping = backend.ping
-        try:
-            if inspect.iscoroutinefunction(ping):
-                alive = bool(await ping())
-            else:
-                alive = bool(await asyncio.to_thread(ping))
+            alive = bool(await backend.ping())
         except Exception:
             alive = False
         if alive:
@@ -241,12 +194,18 @@ class HealthMonitor:
     async def probe_all_async(
         self, backends: Mapping[str, "object"]
     ) -> dict[str, bool]:
-        """Async :meth:`probe_all`: ping every dead shard concurrently.
+        """Probe every **dead** shard concurrently (cheap recovery sweep).
 
-        Same dead-shards-only contract and return shape as
-        :meth:`probe_all`; the pings run as parallel tasks instead of a
-        serial blocking sweep, so one unreachable shard's timeout does
-        not delay the others.
+        Contract: only shards currently marked DEAD are pinged, and only
+        they appear in the returned ``{shard_id: alive}`` mapping — an
+        empty dict means "every tracked shard was already alive", not
+        "everything is down".  Alive shards are deliberately left alone:
+        their liveness is continuously confirmed by real traffic, and
+        probing them would add load for no information.  A dead shard
+        that answers is revived immediately (:meth:`record_success`),
+        so one sweep after a backend restart restores routing.  The
+        pings run as parallel tasks, so one unreachable shard's timeout
+        does not delay the others.
         """
         dead = [
             (shard_id, backend)
@@ -269,38 +228,7 @@ class HealthMonitor:
     async def probe_loop(
         self, backends: Mapping[str, "object"], interval_s: float = 1.0
     ) -> None:
-        """Run :meth:`probe_all_async` forever; cancel the task to stop.
-
-        The asyncio counterpart of :meth:`start_probe_loop` — a single
-        coroutine on the caller's loop instead of a daemon thread, so a
-        long-lived async deployment pays no thread for its sweeps.
-        """
+        """Run :meth:`probe_all_async` forever; cancel the task to stop."""
         while True:
             await asyncio.sleep(interval_s)
             await self.probe_all_async(backends)
-
-    def start_probe_loop(
-        self, backends: Mapping[str, "object"], interval_s: float = 1.0
-    ) -> None:
-        """Run :meth:`probe_all` on a daemon thread until :meth:`stop`."""
-        if self._probe_thread is not None:
-            raise ClusterError("probe loop already running")
-        stop = threading.Event()
-
-        def loop() -> None:
-            while not stop.wait(interval_s):
-                self.probe_all(backends)
-
-        thread = threading.Thread(target=loop, name="cluster-health", daemon=True)
-        self._probe_stop = stop
-        self._probe_thread = thread
-        thread.start()
-
-    def stop(self) -> None:
-        """Stop the probe loop, if one is running."""
-        if self._probe_stop is not None:
-            self._probe_stop.set()
-        if self._probe_thread is not None:
-            self._probe_thread.join(timeout=5.0)
-        self._probe_stop = None
-        self._probe_thread = None

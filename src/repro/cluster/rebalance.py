@@ -4,18 +4,22 @@ Consistent hashing promises that adding or removing one shard reassigns
 roughly ``objects / n_shards`` keys.  This module cashes that promise in:
 
 1. enumerate the namespace and compute every object's placement on the
-   **old** ring and on the **candidate** ring (old ± the shard);
-2. for the affected keys only, read the object while the old ring is
-   still live — through the survivors when the departing shard is dead
-   (quorum or IDA reconstruction is also how a dead shard is drained);
-3. apply the membership change
-   (:meth:`~repro.cluster.coordinator.ClusterClient.attach_shard` /
-   ``detach_shard``) and rewrite each affected object at its new
-   placement at a fresh version, purging fragments from shards that left
-   its placement;
-4. read every migrated object back through the new ring and verify it
-   byte-identical — a mismatch raises
+   **old** ring and on the **new** ring (old ± the shard);
+2. for the affected keys only, and one key at a time inside
+   :meth:`~repro.cluster.aio.AsyncClusterClient.exclusive` (the key's
+   stripe lock, taken after the early-acked legs of any previous write
+   have drained): read the newest intact version from the old placement
+   — through the survivors when the departing shard is dead (quorum or
+   IDA reconstruction is also how a dead shard is drained) — rewrite it
+   at the new placement at a fresh version, waiting for every leg, and
+   purge fragments from shards that left the placement;
+3. still under the lock, read the object back from the new placement
+   and verify it byte-identical at the new version — a mismatch raises
    :class:`~repro.errors.RebalanceError` naming the object.
+
+A joining shard is attached before step 2 (its backend must be
+reachable to be written to); a leaving shard is detached after step 3
+(a live one is still read from while it drains).
 
 Hidden objects cannot be enumerated without their keys (that is the
 point of a steganographic store), so callers pass the UAKs whose
@@ -25,14 +29,24 @@ directory listing.
 :func:`replace_shard` composes the pieces for the failure story: detach
 a dead shard, attach its replacement, then :func:`repair` every object
 so full redundancy is restored for the *next* failure too.
+
+Every verb is a coroutine over an
+:class:`~repro.cluster.aio.AsyncClusterClient`; threaded callers reach
+them as :class:`~repro.cluster.aio.BlockingClusterClient` methods of the
+same names.  Client writes racing a membership change are not fenced
+(ROADMAP): run these while the namespace being moved is quiescent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.backend import ShardBackend
-from repro.cluster.coordinator import ClusterClient, hidden_key, plain_key
+from repro.cluster.aio import (
+    AsyncClusterClient,
+    AsyncShardBackend,
+    hidden_key,
+    plain_key,
+)
 from repro.cluster.ring import HashRing
 from repro.errors import RebalanceError, ReproError
 
@@ -70,145 +84,115 @@ class RebalanceReport:
         return self
 
 
-def enumerate_objects(
-    cluster: ClusterClient, uaks: tuple[bytes, ...] = ()
-) -> tuple[list[str], list[tuple[str, bytes]]]:
-    """Every (plain path, hidden (name, uak)) object the cluster can see.
+async def enumerate_objects(
+    cluster: AsyncClusterClient, uaks: tuple[bytes, ...] = ()
+) -> list[tuple[str, str, bytes | None]]:
+    """(ring key, name, uak) for every object the cluster can see.
 
-    Plain paths come from the union listing; hidden names require the
-    callers' UAKs — fragments under keys not supplied simply stay where
-    they are (they are invisible, exactly as the paper intends).
+    ``uak`` is ``None`` for plain files, which come from the union
+    listing; hidden names require the callers' UAKs — fragments under
+    keys not supplied simply stay where they are (they are invisible,
+    exactly as the paper intends).
     """
-    plain = [f"/{name}" for name in cluster.listdir("/")]
-    hidden: list[tuple[str, bytes]] = []
+    found: list[tuple[str, str, bytes | None]] = [
+        (plain_key(f"/{name}"), f"/{name}", None)
+        for name in await cluster.listdir("/")
+    ]
     for uak in uaks:
-        for name in cluster.steg_list(uak):
-            hidden.append((name, uak))
-    return plain, hidden
+        for name in await cluster.steg_list(uak):
+            found.append((hidden_key(name, uak), name, uak))
+    return found
 
 
-@dataclass
-class _Move:
-    """One object staged for migration: its bytes and both placements."""
+async def _rewrite(
+    cluster: AsyncClusterClient,
+    key: str,
+    name: str,
+    uak: bytes | None,
+    old: tuple[str, ...],
+    new: tuple[str, ...],
+    report: RebalanceReport,
+) -> None:
+    """Move one object ``old`` → ``new`` placement; purge; verify."""
+    leavers = [shard_id for shard_id in old if shard_id not in new]
+    async with cluster.exclusive(key):
+        try:
+            if uak is None:
+                data, version = await cluster.fetch_plain(name, old)
+            else:
+                data, version = await cluster.fetch_hidden(name, uak, old)
+        except ReproError as exc:
+            report.failed.append(f"{name}: {exc}")
+            return
+        if uak is None:
+            await cluster.store_plain_at(name, data, new, version + 1)
+            report.purged_fragments += await cluster.purge_plain(name, leavers)
+            stored = await cluster.fetch_plain(name, new)
+        else:
+            await cluster.store_hidden_at(name, uak, data, new, version + 1)
+            report.purged_fragments += await cluster.purge_hidden(
+                name, uak, leavers
+            )
+            stored = await cluster.fetch_hidden(name, uak, new)
+    report.moved += 1
+    cluster.stats.increment("async.rebalance_moves")
+    report.bytes_moved += len(data)
+    if stored != (data, version + 1):
+        kind = "plain" if uak is None else "hidden"
+        raise RebalanceError(f"post-migration mismatch for {kind} object {name!r}")
+    report.verified += 1
 
-    kind: str  # "plain" | "hidden"
-    name: str
-    uak: bytes | None
-    data: bytes
-    version: int
-    old_placement: tuple[str, ...]
-    new_placement: tuple[str, ...]
 
-
-def _plan(
-    cluster: ClusterClient,
+async def _migrate(
+    cluster: AsyncClusterClient,
+    old_ring: HashRing,
     new_ring: HashRing,
     uaks: tuple[bytes, ...],
-    report: RebalanceReport,
-) -> list[_Move]:
-    """Diff placements and pre-read every affected object (old ring live)."""
-    old_ring = cluster.ring_copy()
-    width = cluster.width
-    plain, hidden = enumerate_objects(cluster, uaks)
-    moves: list[_Move] = []
-    for path in plain:
-        report.examined += 1
-        key = plain_key(path)
-        old_placement = old_ring.nodes_for(key, width)
-        new_placement = new_ring.nodes_for(key, width)
-        if old_placement == new_placement:
-            continue
-        try:
-            data, version = cluster.fetch_plain(path)
-        except ReproError as exc:
-            report.failed.append(f"{path}: {exc}")
-            continue
-        moves.append(
-            _Move("plain", path, None, data, version, old_placement, new_placement)
-        )
-    for objname, uak in hidden:
-        report.examined += 1
-        key = hidden_key(objname, uak)
-        old_placement = old_ring.nodes_for(key, width)
-        new_placement = new_ring.nodes_for(key, width)
-        if old_placement == new_placement:
-            continue
-        try:
-            data, version = cluster.fetch_hidden(objname, uak)
-        except ReproError as exc:
-            report.failed.append(f"{objname}: {exc}")
-            continue
-        moves.append(
-            _Move("hidden", objname, uak, data, version, old_placement, new_placement)
-        )
-    return moves
-
-
-def _apply(cluster: ClusterClient, moves: list[_Move], report: RebalanceReport) -> None:
-    """Rewrite staged objects at their new placements; purge; verify."""
-    for move in moves:
-        leavers = [s for s in move.old_placement if s not in move.new_placement]
-        if move.kind == "plain":
-            cluster.store_plain_at(
-                move.name, move.data, move.new_placement, move.version + 1
-            )
-            report.purged_fragments += cluster.purge_plain(move.name, leavers)
-            reread = cluster.read(move.name)
-        else:
-            cluster.store_hidden_at(
-                move.name, move.uak, move.data, move.new_placement, move.version + 1
-            )
-            report.purged_fragments += cluster.purge_hidden(
-                move.name, move.uak, leavers
-            )
-            reread = cluster.steg_read(move.name, move.uak)
-        report.moved += 1
-        cluster.stats.increment("rebalance_moves")
-        report.bytes_moved += len(move.data)
-        if reread != move.data:
-            raise RebalanceError(
-                f"post-migration mismatch for {move.kind} object {move.name!r}"
-            )
-        report.verified += 1
-
-
-def add_shard(
-    cluster: ClusterClient,
-    shard_id: str,
-    backend: ShardBackend,
-    uaks: tuple[bytes, ...] = (),
 ) -> RebalanceReport:
-    """Attach a shard and migrate the ring-affected objects onto it."""
+    """Rewrite every object whose placement differs between the rings."""
     report = RebalanceReport()
-    candidate = cluster.ring_copy()
-    candidate.add_node(shard_id)
-    moves = _plan(cluster, candidate, uaks, report)
-    cluster.attach_shard(shard_id, backend)
-    _apply(cluster, moves, report)
+    width = cluster.width
+    for key, name, uak in await enumerate_objects(cluster, uaks):
+        report.examined += 1
+        old = old_ring.nodes_for(key, width)
+        new = new_ring.nodes_for(key, width)
+        if old != new:
+            await _rewrite(cluster, key, name, uak, old, new, report)
     return report
 
 
-def remove_shard(
-    cluster: ClusterClient, shard_id: str, uaks: tuple[bytes, ...] = ()
-) -> tuple[RebalanceReport, ShardBackend]:
+async def add_shard(
+    cluster: AsyncClusterClient,
+    shard_id: str,
+    backend: AsyncShardBackend,
+    uaks: tuple[bytes, ...] = (),
+) -> RebalanceReport:
+    """Attach a shard and migrate the ring-affected objects onto it."""
+    old_ring = cluster.ring_copy()
+    cluster.attach_shard(shard_id, backend)
+    return await _migrate(cluster, old_ring, cluster.ring_copy(), uaks)
+
+
+async def remove_shard(
+    cluster: AsyncClusterClient, shard_id: str, uaks: tuple[bytes, ...] = ()
+) -> tuple[RebalanceReport, AsyncShardBackend]:
     """Drain a shard (alive *or* dead) and detach it.
 
     Affected objects are read **before** the ring changes — routing
-    around the departing shard if it is dead (failover), preferring
-    surviving replicas otherwise — then rewritten at their new
-    placements.  Returns the report and the detached backend (the caller
-    owns closing it).
+    around the departing shard if it is dead (failover) — and rewritten
+    at their new placements.  Returns the report and the detached
+    backend (the caller owns closing it).
     """
-    report = RebalanceReport()
-    candidate = cluster.ring_copy()
-    candidate.remove_node(shard_id)
-    moves = _plan(cluster, candidate, uaks, report)
-    backend = cluster.detach_shard(shard_id)
-    _apply(cluster, moves, report)
-    return report, backend
+    old_ring = cluster.ring_copy()
+    new_ring = old_ring.copy()
+    new_ring.remove_node(shard_id)
+    report = await _migrate(cluster, old_ring, new_ring, uaks)
+    return report, cluster.detach_shard(shard_id)
 
 
-def repair(cluster: ClusterClient, uaks: tuple[bytes, ...] = ()) -> RebalanceReport:
+async def repair(
+    cluster: AsyncClusterClient, uaks: tuple[bytes, ...] = ()
+) -> RebalanceReport:
     """Rewrite every object at its current placement at full redundancy.
 
     The read side tolerates missing fragments (quorum / m-of-n); the
@@ -217,47 +201,18 @@ def repair(cluster: ClusterClient, uaks: tuple[bytes, ...] = ()) -> RebalanceRep
     needs after an outage longer than read-repair traffic would heal.
     """
     report = RebalanceReport()
-    plain, hidden = enumerate_objects(cluster, uaks)
-    for path in plain:
+    for key, name, uak in await enumerate_objects(cluster, uaks):
         report.examined += 1
-        try:
-            data, version = cluster.fetch_plain(path)
-        except ReproError as exc:
-            report.failed.append(f"{path}: {exc}")
-            continue
-        cluster.store_plain_at(
-            path, data, cluster.placement(plain_key(path)), version + 1
-        )
-        report.moved += 1
-        cluster.stats.increment("rebalance_moves")
-        report.bytes_moved += len(data)
-        if cluster.read(path) != data:
-            raise RebalanceError(f"post-repair mismatch for plain {path!r}")
-        report.verified += 1
-    for objname, uak in hidden:
-        report.examined += 1
-        try:
-            data, version = cluster.fetch_hidden(objname, uak)
-        except ReproError as exc:
-            report.failed.append(f"{objname}: {exc}")
-            continue
-        cluster.store_hidden_at(
-            objname, uak, data, cluster.placement(hidden_key(objname, uak)), version + 1
-        )
-        report.moved += 1
-        cluster.stats.increment("rebalance_moves")
-        report.bytes_moved += len(data)
-        if cluster.steg_read(objname, uak) != data:
-            raise RebalanceError(f"post-repair mismatch for hidden {objname!r}")
-        report.verified += 1
+        placement = cluster.placement(key)
+        await _rewrite(cluster, key, name, uak, placement, placement, report)
     return report
 
 
-def replace_shard(
-    cluster: ClusterClient,
+async def replace_shard(
+    cluster: AsyncClusterClient,
     dead_id: str,
     new_id: str,
-    backend: ShardBackend,
+    backend: AsyncShardBackend,
     uaks: tuple[bytes, ...] = (),
 ) -> RebalanceReport:
     """Swap a failed shard for a fresh one and restore full redundancy.
@@ -267,11 +222,11 @@ def replace_shard(
     objects migrate, and a full :func:`repair` pass rebuilds every replica
     and share so the cluster tolerates the *next* failure too.
     """
-    report, dead_backend = remove_shard(cluster, dead_id, uaks)
+    report, dead_backend = await remove_shard(cluster, dead_id, uaks)
     try:
-        dead_backend.close()
+        await dead_backend.close()
     except Exception:
         pass  # it is dead; closing is best-effort
-    report.merge(add_shard(cluster, new_id, backend, uaks))
-    report.merge(repair(cluster, uaks))
+    report.merge(await add_shard(cluster, new_id, backend, uaks))
+    report.merge(await repair(cluster, uaks))
     return report

@@ -747,12 +747,19 @@ class AsyncStegFSClient:
     framing becomes the bottleneck under heavy fan-out, as in the
     cluster coordinator's pipelined shard legs.
 
+    Like the blocking client's pool, this one survives a server restart:
+    once every pooled connection has died, the next call redials the
+    pool.  The call that was in flight when the connection died still
+    fails, and a session token issued by the old server process does
+    not carry over: :meth:`login` again.
+
     Not thread-safe: one instance belongs to one event loop.  Threaded
     callers want :class:`StegFSClient`.
 
     Raises:
         ConnectionClosedError: calling before :meth:`open`, after
-            :meth:`close`, or once every pooled connection has died.
+            :meth:`close`, or once every pooled connection has died and
+            the server cannot be redialled.
         HandshakeError: hidden/session ops before :meth:`login`.
     """
 
@@ -774,6 +781,7 @@ class AsyncStegFSClient:
         self._max_message = max(max_message, max_frame)
         self._conns: list[_AsyncConn] = []
         self._rr = 0
+        self._redial_lock = asyncio.Lock()
         self._token: bytes | None = None
 
     @property
@@ -802,8 +810,8 @@ class AsyncStegFSClient:
     async def __aexit__(self, *exc_info: object) -> None:
         await self.close()
 
-    def _pick(self) -> _AsyncConn:
-        """Next live connection, round-robin; typed error when none."""
+    def _pick(self) -> _AsyncConn | None:
+        """Next live connection, round-robin; ``None`` when all have died."""
         if not self._conns:
             raise ConnectionClosedError("client is not connected: call open() first")
         start = self._rr
@@ -812,12 +820,34 @@ class AsyncStegFSClient:
             conn = self._conns[(start + offset) % len(self._conns)]
             if conn.dead_error is None:
                 return conn
-        dead = self._conns[start].dead_error
-        assert dead is not None
-        raise type(dead)(str(dead))
+        return None
+
+    async def _live_conn(self) -> _AsyncConn:
+        """A live connection, redialling the pool if every one has died.
+
+        A server that cannot be reached surfaces as the error that
+        killed the old connections, so callers keep seeing one cause.
+        """
+        conn = self._pick()
+        if conn is not None:
+            return conn
+        async with self._redial_lock:
+            conn = self._pick()  # a concurrent caller may have redialled
+            if conn is not None:
+                return conn
+            dead = self._conns
+            try:
+                await self.open()
+            except OSError:
+                cause = dead[0].dead_error
+                assert cause is not None
+                raise type(cause)(str(cause)) from None
+            for conn in dead:
+                await conn.close()
+            return self._conns[0]
 
     async def _call(self, op: str, *args: Any) -> Any:
-        return await self._pick().call(op, args)
+        return await (await self._live_conn()).call(op, args)
 
     def _require_token(self) -> bytes:
         if self._token is None:
@@ -840,7 +870,7 @@ class AsyncStegFSClient:
         resulting token is server-global, so every pooled connection
         shares it afterwards.
         """
-        conn = self._pick()
+        conn = await self._live_conn()
         nonce = await conn.call("hello", (user_id,))
         proof = auth_proof(uak, nonce, user_id)
         self._token = await conn.call("authenticate", (user_id, proof))

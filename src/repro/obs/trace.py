@@ -13,16 +13,13 @@ the server re-roots its spans under that remote parent, so the client's
 tree and the server's tree share one trace id and link into a single
 tree when merged (the ``obs_trace`` admin op returns the server half).
 
-Two places need explicit context plumbing because ``contextvars`` do not
-cross thread boundaries on their own:
-
-* ``StegFSServer`` dispatches ops via ``run_in_executor``, which runs the
-  callable in a bare worker-thread context — the server wraps the call
-  with :meth:`Tracer.activate` / token reset.
-* ``ClusterClient`` fans out over a ``ThreadPoolExecutor`` — each
-  ``submit`` goes through a fresh ``contextvars.copy_context()`` so each
-  leg sees the parent span (a single Context is not concurrently
-  reentrant).
+One place needs explicit context plumbing because ``contextvars`` do not
+cross thread boundaries on their own: ``AsyncServiceFront`` (and through
+it ``StegFSServer`` and the cluster's embedded shards) dispatches ops via
+``run_in_executor``, which runs the callable in a bare worker-thread
+context — the front wraps the call with :meth:`Tracer.activate` / token
+reset.  The cluster coordinator's fan-out legs are tasks, which copy the
+caller's context on creation and so see the parent span unaided.
 
 Deniability: spans live only in a bounded in-RAM ring; ids come from
 ``os.urandom`` (never the FS RNGs, so allocation patterns are identical

@@ -29,6 +29,7 @@ import asyncio
 import functools
 from typing import Any
 
+from repro.errors import ServiceClosedError
 from repro.obs.trace import current_context, get_tracer
 from repro.service.registry import lookup
 from repro.service.service import StegFSService
@@ -113,14 +114,22 @@ class AsyncServiceFront:
         if _span_name is not None:
             with get_tracer().span(_span_name, parent=_parent) as span:
                 ctx = span.context() if span is not None else None
-                return await loop.run_in_executor(
-                    self._service.executor,
-                    functools.partial(_run_activated, ctx, call),
-                )
-        return await loop.run_in_executor(
-            self._service.executor,
-            functools.partial(_run_activated, current_context(), call),
-        )
+                return await self._submit(loop, ctx, call)
+        return await self._submit(loop, current_context(), call)
+
+    def _submit(
+        self, loop: asyncio.AbstractEventLoop, ctx: tuple[str, str] | None, call: Any
+    ) -> asyncio.Future[Any]:
+        try:
+            return loop.run_in_executor(
+                self._service.executor, functools.partial(_run_activated, ctx, call)
+            )
+        except RuntimeError:
+            # A closed service has shut its pool down, and the pool refuses
+            # the work before the op's own closed check can run.
+            if self._service.closed:
+                raise ServiceClosedError("service has been shut down") from None
+            raise
 
     def __getattr__(self, op: str) -> Any:
         """Attribute sugar: ``await front.steg_read(...)`` ≡ :meth:`call`.

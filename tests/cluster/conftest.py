@@ -1,15 +1,21 @@
-"""Fixtures for the cluster tier: in-process shard farms, killable shards."""
+"""Fixtures for the cluster tier: in-process shard farms, fault injection."""
 
 from __future__ import annotations
 
+import asyncio
 import random
+from typing import Any, Awaitable, Callable
 
 import pytest
 
-from repro.cluster.backend import ServiceShard
-from repro.cluster.coordinator import ClusterClient
+from repro.cluster.aio import (
+    AsyncClusterClient,
+    AsyncServiceShard,
+    BlockingClusterClient,
+)
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
+from repro.errors import NoSpaceError
 from repro.service.service import StegFSService
 from repro.storage.block_device import RamDevice
 
@@ -28,20 +34,30 @@ def make_shard_service(seed: int, total_blocks: int = 4096) -> StegFSService:
     return StegFSService(steg, max_workers=4)
 
 
-class KillableShard:
-    """A ServiceShard proxy whose transport can be cut (and restored).
+class FaultyShard:
+    """An ``AsyncServiceShard`` proxy with injectable faults.
 
-    ``kill()`` makes every call raise ``ConnectionError`` — the volume's
-    data stays intact, exactly like a crashed-but-recoverable server —
-    and ``revive()`` reconnects it.  ``fail_puts`` instead makes only the
-    upsert paths raise ``NoSpaceError`` while the shard stays alive and
-    readable (a full disk, not a dead machine).
+    * ``kill()`` makes every call raise ``ConnectionError`` — the
+      volume's data stays intact, exactly like a crashed-but-recoverable
+      server — until ``revive()``.
+    * ``fail_puts`` makes only the upsert paths raise ``NoSpaceError``
+      while the shard stays alive and readable (a full disk, not a dead
+      machine).
+    * ``delays[op]`` makes ``op`` sleep first — and if the leg is
+      *cancelled* during that sleep, ``error_on_cancel`` (when set) is
+      raised in place of ``CancelledError``: the misbehaving-backend
+      edge where a losing leg errors only after the race was decided.
+
+    ``service`` is the volume underneath: tests inspect what a shard
+    really stores through it, past every injected fault.
     """
 
-    def __init__(self, inner: ServiceShard) -> None:
+    def __init__(self, inner: AsyncServiceShard) -> None:
         self._inner = inner
         self.killed = False
         self.fail_puts = False
+        self.delays: dict[str, float] = {}
+        self.error_on_cancel: Exception | None = None
 
     def kill(self) -> None:
         self.killed = True
@@ -50,39 +66,45 @@ class KillableShard:
         self.killed = False
 
     @property
-    def service(self):
+    def service(self) -> StegFSService:
         return self._inner.service
 
-    def close(self) -> None:
-        self._inner.close()
+    async def close(self) -> None:
+        await self._inner.close()
 
-    def __getattr__(self, name: str):
+    def __getattr__(self, name: str) -> Callable[..., Awaitable[Any]]:
         method = getattr(self._inner, name)
 
-        def guarded(*args, **kwargs):
+        async def guarded(*args: Any, **kwargs: Any) -> Any:
             if self.killed:
                 raise ConnectionError("shard transport cut by test")
             if self.fail_puts and name in ("put", "steg_put"):
-                from repro.errors import NoSpaceError
-
                 raise NoSpaceError("shard volume full (injected)")
-            return method(*args, **kwargs)
+            delay = self.delays.get(name, 0.0)
+            if delay:
+                try:
+                    await asyncio.sleep(delay)
+                except asyncio.CancelledError:
+                    if self.error_on_cancel is not None:
+                        raise self.error_on_cancel from None
+                    raise
+            return await method(*args, **kwargs)
 
         return guarded
 
 
 @pytest.fixture
 def shard_farm():
-    """Factory: build n killable in-process shards; closed on teardown."""
+    """Factory: build n faulty in-process shards; closed on teardown."""
     services: list[StegFSService] = []
 
-    def build(n: int, seed: int = 7) -> dict[str, KillableShard]:
-        shards: dict[str, KillableShard] = {}
+    def build(n: int, seed: int = 7) -> dict[str, FaultyShard]:
+        shards: dict[str, FaultyShard] = {}
         for i in range(n):
             service = make_shard_service(seed + i)
             services.append(service)
-            shards[f"shard-{i}"] = KillableShard(
-                ServiceShard(service, owns_service=True)
+            shards[f"shard-{i}"] = FaultyShard(
+                AsyncServiceShard(service, owns_service=True)
             )
         return shards
 
@@ -94,12 +116,15 @@ def shard_farm():
 
 @pytest.fixture
 def make_cluster(shard_farm):
-    """Factory: a ClusterClient over n fresh killable shards."""
-    clusters: list[ClusterClient] = []
+    """Factory: a BlockingClusterClient over n fresh faulty shards.
 
-    def build(n: int = 4, **kwargs) -> ClusterClient:
+    Ring and shard inspection go through ``cluster.async_client``.
+    """
+    clusters: list[BlockingClusterClient] = []
+
+    def build(n: int = 4, **kwargs) -> BlockingClusterClient:
         shards = shard_farm(n, seed=kwargs.pop("seed", 7))
-        cluster = ClusterClient(shards, **kwargs)
+        cluster = BlockingClusterClient(lambda: AsyncClusterClient(shards, **kwargs))
         clusters.append(cluster)
         return cluster
 

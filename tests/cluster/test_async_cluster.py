@@ -1,6 +1,6 @@
 """Async data-plane edge cases: cancellation, failover, stragglers.
 
-The edges the async benchmark never hits on purpose: a losing read leg
+The edges the benchmark never hits on purpose: a losing read leg
 that errors *after* the race is decided, a caller cancelled mid-fan-out,
 early-acked write legs still draining when the next same-key mutation
 arrives — plus round trips through both redundancy modes and the
@@ -17,94 +17,16 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import random
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable
 
 import pytest
 
-from repro.cluster.aio import (
-    AsyncClusterClient,
-    AsyncServiceShard,
-    BlockingClusterClient,
-)
+from repro.cluster.aio import AsyncClusterClient, BlockingClusterClient
 from repro.cluster.fragment import MODE_IDA, decode_fragment
-from repro.core.params import StegFSParams
-from repro.core.stegfs import StegFS
 from repro.errors import HiddenObjectNotFoundError
-from repro.service.service import StegFSService
-from repro.storage.block_device import RamDevice
 
 UAK = b"C" * 32
-
-
-def _make_service(seed: int) -> StegFSService:
-    steg = StegFS.mkfs(
-        RamDevice(block_size=512, total_blocks=4096),
-        params=StegFSParams.for_tests(),
-        inode_count=128,
-        rng=random.Random(seed),
-        auto_flush=False,
-    )
-    return StegFSService(steg, max_workers=4)
-
-
-class FlakyAsyncShard:
-    """An ``AsyncServiceShard`` proxy with injectable faults.
-
-    The async sibling of ``conftest.KillableShard``: ``kill()`` makes
-    every call raise ``ConnectionError`` until ``revive()``.  On top of
-    that, ``delays[op]`` makes ``op`` sleep first — and if the leg is
-    *cancelled* during that sleep, ``error_on_cancel`` (when set) is
-    raised in place of ``CancelledError``: the misbehaving-backend edge
-    where a losing leg errors only after the race has been decided.
-    """
-
-    def __init__(self, inner: AsyncServiceShard) -> None:
-        self._inner = inner
-        self.killed = False
-        self.delays: dict[str, float] = {}
-        self.error_on_cancel: Exception | None = None
-
-    def kill(self) -> None:
-        self.killed = True
-
-    def revive(self) -> None:
-        self.killed = False
-
-    @property
-    def service(self) -> StegFSService:
-        return self._inner.service
-
-    async def close(self) -> None:
-        await self._inner.close()
-
-    def __getattr__(self, name: str) -> Callable[..., Awaitable[Any]]:
-        method = getattr(self._inner, name)
-
-        async def guarded(*args: Any, **kwargs: Any) -> Any:
-            if self.killed:
-                raise ConnectionError("shard transport cut by test")
-            delay = self.delays.get(name, 0.0)
-            if delay:
-                try:
-                    await asyncio.sleep(delay)
-                except asyncio.CancelledError:
-                    if self.error_on_cancel is not None:
-                        raise self.error_on_cancel from None
-                    raise
-            return await method(*args, **kwargs)
-
-        return guarded
-
-
-def _farm(n: int, seed: int = 7) -> dict[str, FlakyAsyncShard]:
-    return {
-        f"shard-{i}": FlakyAsyncShard(
-            AsyncServiceShard(_make_service(seed + i), owns_service=True)
-        )
-        for i in range(n)
-    }
 
 
 def _run(scenario: Callable[[], Awaitable[None]]) -> None:
@@ -127,9 +49,9 @@ def _run(scenario: Callable[[], Awaitable[None]]) -> None:
 
 
 class TestFirstAckCancellation:
-    def test_losing_leg_error_after_loss_is_contained(self):
+    def test_losing_leg_error_after_loss_is_contained(self, shard_farm):
         async def scenario() -> None:
-            shards = _farm(3)
+            shards = shard_farm(3)
             async with AsyncClusterClient(
                 shards, replication=3, write_quorum=3, owns_backends=True
             ) as cluster:
@@ -160,9 +82,9 @@ class TestFirstAckCancellation:
 
         _run(scenario)
 
-    def test_losing_leg_transport_error_counts_as_failover(self):
+    def test_losing_leg_transport_error_counts_as_failover(self, shard_farm):
         async def scenario() -> None:
-            shards = _farm(3)
+            shards = shard_farm(3)
             async with AsyncClusterClient(
                 shards, replication=3, write_quorum=3, owns_backends=True
             ) as cluster:
@@ -181,9 +103,9 @@ class TestFirstAckCancellation:
 
         _run(scenario)
 
-    def test_caller_cancelled_mid_race_leaves_client_usable(self):
+    def test_caller_cancelled_mid_race_leaves_client_usable(self, shard_farm):
         async def scenario() -> None:
-            shards = _farm(3)
+            shards = shard_farm(3)
             async with AsyncClusterClient(
                 shards, replication=3, write_quorum=3, owns_backends=True
             ) as cluster:
@@ -206,9 +128,9 @@ class TestFirstAckCancellation:
 
 
 class TestFailoverAndProbe:
-    def test_ops_survive_dead_shard(self):
+    def test_ops_survive_dead_shard(self, shard_farm):
         async def scenario() -> None:
-            shards = _farm(4)
+            shards = shard_farm(4)
             async with AsyncClusterClient(
                 shards, replication=3, write_quorum=2, owns_backends=True
             ) as cluster:
@@ -228,9 +150,9 @@ class TestFailoverAndProbe:
 
         _run(scenario)
 
-    def test_probe_revives_dead_shard(self):
+    def test_probe_revives_dead_shard(self, shard_farm):
         async def scenario() -> None:
-            shards = _farm(4)
+            shards = shard_farm(4)
             async with AsyncClusterClient(
                 shards, replication=3, write_quorum=2, owns_backends=True
             ) as cluster:
@@ -248,9 +170,9 @@ class TestFailoverAndProbe:
 
 
 class TestIdaMode:
-    def test_round_trip_with_slow_share_holder(self):
+    def test_round_trip_with_slow_share_holder(self, shard_farm):
         async def scenario() -> None:
-            shards = _farm(4)
+            shards = shard_farm(4)
             async with AsyncClusterClient(
                 shards,
                 mode=MODE_IDA,
@@ -281,9 +203,9 @@ class TestIdaMode:
 
 
 class TestWriteStragglers:
-    def test_early_ack_then_same_key_drain(self):
+    def test_early_ack_then_same_key_drain(self, shard_farm):
         async def scenario() -> None:
-            shards = _farm(3)
+            shards = shard_farm(3)
             async with AsyncClusterClient(
                 shards, replication=3, write_quorum=2, owns_backends=True
             ) as cluster:
@@ -309,10 +231,10 @@ class TestWriteStragglers:
 
 
 class TestBlockingFacade:
-    def test_sync_round_trip_over_async_plane(self):
+    def test_sync_round_trip_over_async_plane(self, shard_farm):
         def factory() -> AsyncClusterClient:
             return AsyncClusterClient(
-                _farm(3), replication=3, write_quorum=2, owns_backends=True
+                shard_farm(3), replication=3, write_quorum=2, owns_backends=True
             )
 
         with BlockingClusterClient(factory) as cluster:
@@ -329,10 +251,10 @@ class TestBlockingFacade:
             assert not cluster.exists("/a.txt")
             assert cluster.stats["async.reads"] >= 1
 
-    def test_many_threads_share_one_loop(self):
+    def test_many_threads_share_one_loop(self, shard_farm):
         def factory() -> AsyncClusterClient:
             return AsyncClusterClient(
-                _farm(3), replication=3, write_quorum=2, owns_backends=True
+                shard_farm(3), replication=3, write_quorum=2, owns_backends=True
             )
 
         with BlockingClusterClient(factory) as cluster:

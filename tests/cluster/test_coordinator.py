@@ -1,10 +1,10 @@
-"""ClusterClient semantics: routing, quorum, read-repair, IDA privacy."""
+"""Coordinator semantics: routing, quorum, read-repair, IDA privacy."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.coordinator import hidden_key
+from repro.cluster.aio import AsyncClusterClient, hidden_key
 from repro.cluster.fragment import decode_fragment
 from repro.errors import (
     ClusterError,
@@ -62,10 +62,11 @@ class TestPlainNamespace:
     def test_replicas_land_on_placement_shards(self, make_cluster):
         cluster = make_cluster(4, replication=3)
         cluster.create("/placed", b"payload")
-        placement = cluster.placement("p:placed")
-        shards = cluster.shards
+        cluster.flush()  # the write early-acked at W: drain the last leg
+        placement = cluster.async_client.placement("p:placed")
+        shards = cluster.async_client.shards
         holders = [
-            sid for sid, shard in shards.items() if shard.exists("/placed")
+            sid for sid, shard in shards.items() if shard.service.exists("/placed")
         ]
         assert sorted(holders) == sorted(placement)
 
@@ -73,8 +74,9 @@ class TestPlainNamespace:
         cluster = make_cluster(3)
         cluster.create("/env", b"first")
         cluster.write("/env", b"second")
-        placement = cluster.placement("p:env")
-        raw = cluster.shards[placement[0]].read("/env")
+        cluster.flush()
+        placement = cluster.async_client.placement("p:env")
+        raw = cluster.async_client.shards[placement[0]].service.read("/env")
         fragment = decode_fragment(raw)
         assert fragment.payload == b"second"
         assert fragment.version == 2
@@ -127,20 +129,24 @@ class TestHiddenReplicated:
     def test_read_repair_heals_stale_replica(self, make_cluster):
         cluster = make_cluster(4, replication=3)
         cluster.steg_create("heal", UAK, data=b"version one")
-        placement = cluster.placement(hidden_key("heal", UAK))
+        placement = cluster.async_client.placement(hidden_key("heal", UAK))
         # Cut one replica's shard off, update the object, reconnect it:
         # that shard now holds a stale version.
-        lagging = cluster.shards[placement[0]]
+        lagging = cluster.async_client.shards[placement[0]]
         lagging.kill()
         cluster.steg_write("heal", UAK, b"version two")
         lagging.revive()
         cluster.probe_dead_shards()
+        # Only legs that completed are judged stale: slow the fresh
+        # replicas so the lagging one answers before the race is decided.
+        for sid in placement[1:]:
+            cluster.async_client.shards[sid].delays["steg_read"] = 0.05
 
-        before = cluster.stats["read_repairs"]
+        before = cluster.stats["async.read_repairs"]
         assert cluster.steg_read("heal", UAK) == b"version two"
-        assert cluster.stats["read_repairs"] > before
+        assert cluster.stats["async.read_repairs"] > before
         # The lagging replica was rewritten to the winning version.
-        fragment = decode_fragment(lagging.steg_read("heal", UAK))
+        fragment = decode_fragment(lagging.service.steg_read("heal", UAK))
         assert fragment.payload == b"version two"
 
     def test_empty_and_large_payloads(self, make_cluster):
@@ -157,15 +163,17 @@ class TestHiddenDispersed:
         cluster = make_cluster(4, mode="ida", ida_m=2, ida_n=4)
         cluster.steg_create("dispersed", UAK, data=b"the real secret")
         assert cluster.steg_read("dispersed", UAK) == b"the real secret"
-        assert cluster.stats["reconstructions"] >= 1
+        assert cluster.stats["async.reconstructions"] >= 1
 
     def test_shares_are_smaller_than_data(self, make_cluster):
         data = b"D" * 4000
         cluster = make_cluster(4, mode="ida", ida_m=2, ida_n=4)
         cluster.steg_create("sized", UAK, data=data)
-        placement = cluster.placement(hidden_key("sized", UAK))
+        cluster.flush()
+        placement = cluster.async_client.placement(hidden_key("sized", UAK))
+        shards = cluster.async_client.shards
         for sid in placement:
-            fragment = decode_fragment(cluster.shards[sid].steg_read("sized", UAK))
+            fragment = decode_fragment(shards[sid].service.steg_read("sized", UAK))
             # Each share is ~1/m of the data (factor n/m total), not a copy.
             assert len(fragment.payload) < len(data) * 0.6
 
@@ -173,9 +181,11 @@ class TestHiddenDispersed:
         secret = b"MEETING AT MIDNIGHT, DOCK 7"
         cluster = make_cluster(4, mode="ida", ida_m=2, ida_n=4)
         cluster.steg_create("private", UAK, data=secret)
-        placement = cluster.placement(hidden_key("private", UAK))
+        cluster.flush()
+        placement = cluster.async_client.placement(hidden_key("private", UAK))
+        shards = cluster.async_client.shards
         for sid in placement[:1]:  # fewer than m shards
-            fragment = decode_fragment(cluster.shards[sid].steg_read("private", UAK))
+            fragment = decode_fragment(shards[sid].service.steg_read("private", UAK))
             assert secret not in fragment.payload
             for window in range(0, len(secret) - 8):
                 assert secret[window : window + 8] not in fragment.payload
@@ -204,7 +214,5 @@ class TestValidation:
             make_cluster(3, replication=3, write_quorum=4)
 
     def test_needs_a_shard(self):
-        from repro.cluster.coordinator import ClusterClient
-
         with pytest.raises(ClusterError):
-            ClusterClient({})
+            AsyncClusterClient({})

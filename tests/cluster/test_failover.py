@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.coordinator import hidden_key
+from repro.cluster.aio import hidden_key
 from repro.errors import ClusterQuorumError, ShardUnavailableError
 
 UAK = b"C" * 32
@@ -32,7 +32,7 @@ class TestReplicatedFailover:
             cluster.steg_create(name, UAK, data=data)
             acked[name] = data
         # Kill one shard mid-workload.
-        cluster.shards[f"shard-{victim_index}"].kill()
+        cluster.async_client.shards[f"shard-{victim_index}"].kill()
         # Phase 2: keep writing — quorum 2 of the surviving replicas acks.
         for i, name in enumerate(names[5:]):
             data = f"post-kill {i}".encode() * 20
@@ -45,7 +45,7 @@ class TestReplicatedFailover:
         # Every acknowledged write reads back, byte-identical.
         for name, expected in acked.items():
             assert cluster.steg_read(name, UAK) == expected
-        assert cluster.stats["failovers"] > 0
+        assert cluster.stats["async.failovers"] > 0
 
     def test_reads_survive_each_single_kill_in_turn(self, make_cluster):
         cluster = make_cluster(4, replication=3, write_quorum=2)
@@ -54,7 +54,7 @@ class TestReplicatedFailover:
         for name, data in payloads.items():
             cluster.steg_create(name, UAK, data=data)
         for victim in range(4):
-            shard = cluster.shards[f"shard-{victim}"]
+            shard = cluster.async_client.shards[f"shard-{victim}"]
             shard.kill()
             for name, expected in payloads.items():
                 assert cluster.steg_read(name, UAK) == expected
@@ -64,40 +64,58 @@ class TestReplicatedFailover:
     def test_plain_files_fail_over_too(self, make_cluster):
         cluster = make_cluster(4, replication=3, write_quorum=2)
         cluster.create("/ledger", b"balance: 42")
-        cluster.shards["shard-1"].kill()
+        cluster.async_client.shards["shard-1"].kill()
         assert cluster.read("/ledger") == b"balance: 42"
         cluster.write("/ledger", b"balance: 43")
         assert cluster.read("/ledger") == b"balance: 43"
 
+    def test_embedded_volume_shut_down_underneath_fails_over(self, make_cluster):
+        """A closed service refuses work at its pool, before the op's own
+        closed check: that must still read as "shard down", not crash."""
+        cluster = make_cluster(4, replication=3, write_quorum=2)
+        cluster.steg_create("orphaned", UAK, data=b"still served")
+        cluster.flush()
+        victim = cluster.async_client.placement(hidden_key("orphaned", UAK))[0]
+        cluster.async_client.shards[victim].service.close()
+        assert cluster.steg_read("orphaned", UAK) == b"still served"
+        cluster.steg_write("orphaned", UAK, b"and still writable")
+        assert cluster.steg_read("orphaned", UAK) == b"and still writable"
+        assert not cluster.health.is_alive(victim)
+
     def test_revived_shard_heals_through_read_repair(self, make_cluster):
         cluster = make_cluster(4, replication=3, write_quorum=2)
         cluster.steg_create("healme", UAK, data=b"v1")
-        placement = cluster.placement(hidden_key("healme", UAK))
-        victim = cluster.shards[placement[0]]
+        placement = cluster.async_client.placement(hidden_key("healme", UAK))
+        victim = cluster.async_client.shards[placement[0]]
         victim.kill()
         cluster.steg_write("healme", UAK, b"v2")
         victim.revive()
         cluster.probe_dead_shards()
+        # Only legs that completed are judged stale: slow the fresh
+        # replicas so the revived one answers before the race is decided.
+        for sid in placement[1:]:
+            cluster.async_client.shards[sid].delays["steg_read"] = 0.05
         assert cluster.steg_read("healme", UAK) == b"v2"
         # After the repairing read, the once-dead replica is current again.
         from repro.cluster.fragment import decode_fragment
 
-        assert decode_fragment(victim.steg_read("healme", UAK)).payload == b"v2"
+        fragment = decode_fragment(victim.service.steg_read("healme", UAK))
+        assert fragment.payload == b"v2"
 
     def test_too_many_kills_refuse_quorum(self, make_cluster):
         cluster = make_cluster(4, replication=3, write_quorum=2)
         cluster.steg_create("quorate", UAK, data=b"x")
-        placement = cluster.placement(hidden_key("quorate", UAK))
+        placement = cluster.async_client.placement(hidden_key("quorate", UAK))
         for sid in placement[:2]:
-            cluster.shards[sid].kill()
+            cluster.async_client.shards[sid].kill()
         with pytest.raises(ClusterQuorumError):
             cluster.steg_write("quorate", UAK, b"y")
 
     def test_whole_placement_dead_is_unavailable(self, make_cluster):
         cluster = make_cluster(4, replication=3, write_quorum=2)
         cluster.steg_create("dark", UAK, data=b"x")
-        for sid in cluster.placement(hidden_key("dark", UAK)):
-            cluster.shards[sid].kill()
+        for sid in cluster.async_client.placement(hidden_key("dark", UAK)):
+            cluster.async_client.shards[sid].kill()
         with pytest.raises(ShardUnavailableError):
             cluster.steg_read("dark", UAK)
 
@@ -113,13 +131,13 @@ class TestDispersedFailover:
         }
         for name, data in payloads.items():
             cluster.steg_create(name, UAK, data=data)
-        cluster.shards[f"shard-{victim_index}"].kill()
+        cluster.async_client.shards[f"shard-{victim_index}"].kill()
         for name, expected in payloads.items():
             assert cluster.steg_read(name, UAK) == expected
 
     def test_writes_keep_acking_with_one_shard_down(self, make_cluster):
         cluster = make_cluster(4, mode="ida", ida_m=2, ida_n=4)
-        cluster.shards["shard-2"].kill()
+        cluster.async_client.shards["shard-2"].kill()
         acked = {}
         for name in _workload_names(5):
             data = name.encode() * 25
@@ -127,42 +145,46 @@ class TestDispersedFailover:
             acked[name] = data
         for name, expected in acked.items():
             assert cluster.steg_read(name, UAK) == expected
-        assert cluster.stats["degraded_writes"] >= 1
+        assert cluster.stats["async.degraded_writes"] >= 1
 
     def test_acked_write_survives_a_subsequent_kill(self, make_cluster):
         """The m+1 write quorum's whole point: after an ack with one shard
         already down (3 shares), losing ONE more shard still leaves m."""
         cluster = make_cluster(4, mode="ida", ida_m=2, ida_n=4)
-        cluster.shards["shard-0"].kill()
+        cluster.async_client.shards["shard-0"].kill()
         cluster.steg_create("resilient", UAK, data=b"still here" * 10)
-        placement = cluster.placement(hidden_key("resilient", UAK))
+        placement = cluster.async_client.placement(hidden_key("resilient", UAK))
         survivors = [sid for sid in placement if sid != "shard-0"]
-        cluster.shards[survivors[0]].kill()
+        cluster.async_client.shards[survivors[0]].kill()
         assert cluster.steg_read("resilient", UAK) == b"still here" * 10
 
     def test_below_m_shares_is_an_error_not_garbage(self, make_cluster):
         cluster = make_cluster(4, mode="ida", ida_m=2, ida_n=4)
         cluster.steg_create("fragile", UAK, data=b"secret")
-        placement = cluster.placement(hidden_key("fragile", UAK))
+        placement = cluster.async_client.placement(hidden_key("fragile", UAK))
         for sid in placement[:3]:
-            cluster.shards[sid].kill()
+            cluster.async_client.shards[sid].kill()
         with pytest.raises(ShardUnavailableError):
             cluster.steg_read("fragile", UAK)
 
     def test_repair_refreshes_missing_share_on_read(self, make_cluster):
         cluster = make_cluster(4, mode="ida", ida_m=2, ida_n=4)
         cluster.steg_create("reshare", UAK, data=b"re-disperse me" * 10)
-        placement = cluster.placement(hidden_key("reshare", UAK))
-        victim = cluster.shards[placement[1]]
+        placement = cluster.async_client.placement(hidden_key("reshare", UAK))
+        victim = cluster.async_client.shards[placement[1]]
         victim.kill()
         cluster.steg_write("reshare", UAK, b"second version" * 10)
         victim.revive()
         cluster.probe_dead_shards()
-        before = cluster.stats["read_repairs"]
+        # Slow the fresh share holders so the revived one is judged.
+        for sid in placement:
+            if sid != placement[1]:
+                cluster.async_client.shards[sid].delays["steg_read"] = 0.05
+        before = cluster.stats["async.read_repairs"]
         assert cluster.steg_read("reshare", UAK) == b"second version" * 10
-        assert cluster.stats["read_repairs"] > before
+        assert cluster.stats["async.read_repairs"] > before
         # The revived shard's share now reconstructs with any other one.
         from repro.cluster.fragment import decode_fragment
 
-        refreshed = decode_fragment(victim.steg_read("reshare", UAK))
+        refreshed = decode_fragment(victim.service.steg_read("reshare", UAK))
         assert refreshed.version >= 2

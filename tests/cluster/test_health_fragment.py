@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.cluster.fragment import (
@@ -58,7 +60,7 @@ class TestHealthMonitor:
             def __init__(self, name: str, ok: bool) -> None:
                 self.name, self.ok = name, ok
 
-            def ping(self) -> bool:
+            async def ping(self) -> bool:
                 calls.append(self.name)
                 if not self.ok:
                     raise ConnectionError("down")
@@ -69,20 +71,20 @@ class TestHealthMonitor:
         monitor.register("up")
         monitor.register("down")
         monitor.mark_dead("down")
-        results = monitor.probe_all(backends)
+        results = asyncio.run(monitor.probe_all_async(backends))
         assert calls == ["down"]
         assert results == {"down": False}
         assert monitor.state_of("down") is ShardState.DEAD
 
     def test_probe_revives_recovered_shard(self):
         class Pingable:
-            def ping(self) -> bool:
+            async def ping(self) -> bool:
                 return True
 
         monitor = HealthMonitor()
         monitor.register("s")
         monitor.mark_dead("s")
-        assert monitor.probe_all({"s": Pingable()}) == {"s": True}
+        assert asyncio.run(monitor.probe_all_async({"s": Pingable()})) == {"s": True}
         assert monitor.is_alive("s")
 
     def test_bad_threshold_rejected(self):

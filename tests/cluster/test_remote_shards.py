@@ -1,4 +1,4 @@
-"""A cluster spanning real StegFSServer processes via RemoteShard.
+"""A cluster spanning real StegFSServer processes via AsyncRemoteShard.
 
 The backend protocol is transport-neutral: here two shards are genuine
 asyncio TCP servers (each over its own volume) and one is in-process,
@@ -7,12 +7,17 @@ proving the coordinator composes the net and service tiers.
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
 
-from repro.cluster.backend import RemoteShard, ServiceShard
-from repro.cluster.coordinator import ClusterClient
+from repro.cluster.aio import (
+    AsyncClusterClient,
+    AsyncRemoteShard,
+    AsyncServiceShard,
+    BlockingClusterClient,
+)
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
 from repro.errors import ClusterError
@@ -43,16 +48,23 @@ def mixed_cluster():
         start_in_thread(services[0], credentials={USER: UAK}),
         start_in_thread(services[1], credentials={USER: UAK}),
     ]
-    shards = {
-        "remote-0": RemoteShard.connect(
-            *handles[0].address, user_id=USER, uak=UAK
-        ),
-        "remote-1": RemoteShard.connect(
-            *handles[1].address, user_id=USER, uak=UAK
-        ),
-        "local-0": ServiceShard(services[2], owns_service=True),
-    }
-    cluster = ClusterClient(shards, replication=2, write_quorum=1, owns_backends=True)
+
+    async def factory() -> AsyncClusterClient:
+        # Remote shards dial on the loop that will drive them.
+        shards = {
+            "remote-0": await AsyncRemoteShard.connect(
+                *handles[0].address, user_id=USER, uak=UAK
+            ),
+            "remote-1": await AsyncRemoteShard.connect(
+                *handles[1].address, user_id=USER, uak=UAK
+            ),
+            "local-0": AsyncServiceShard(services[2], owns_service=True),
+        }
+        return AsyncClusterClient(
+            shards, replication=2, write_quorum=1, owns_backends=True
+        )
+
+    cluster = BlockingClusterClient(factory)
     yield cluster, handles
     cluster.close()
     for handle in handles:
@@ -91,6 +103,6 @@ class TestMixedTransports:
 
     def test_remote_shard_rejects_foreign_key(self, mixed_cluster):
         cluster, _handles = mixed_cluster
-        shard = cluster.shards["remote-0"]
+        shard = cluster.async_client.shards["remote-0"]
         with pytest.raises(ClusterError):
-            shard.steg_read("anything", b"B" * 32)
+            asyncio.run(shard.steg_read("anything", b"B" * 32))

@@ -3,11 +3,13 @@ tombstoned plain listings."""
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from repro.cluster.backend import ServiceShard
-from repro.cluster.coordinator import hidden_key, plain_key
+from repro.cluster.aio import AsyncServiceShard, hidden_key, plain_key
 from repro.errors import ClusterQuorumError, FileNotFoundError_
+from repro.service.service import StegFSService
 
 UAK = b"C" * 32
 
@@ -19,8 +21,8 @@ class TestFailedWriteDoesNotPoisonVersionCache:
         and retrying has to work."""
         cluster = make_cluster(4, replication=3, write_quorum=2)
         victims = [
-            cluster.shards[sid]
-            for sid in cluster.placement(hidden_key("retry-me", UAK))
+            cluster.async_client.shards[sid]
+            for sid in cluster.async_client.placement(hidden_key("retry-me", UAK))
         ]
         for shard in victims:
             shard.fail_puts = True
@@ -36,7 +38,8 @@ class TestFailedWriteDoesNotPoisonVersionCache:
     def test_quorum_refused_plain_create_can_be_retried(self, make_cluster):
         cluster = make_cluster(4, replication=3, write_quorum=2)
         victims = [
-            cluster.shards[sid] for sid in cluster.placement(plain_key("/f"))
+            cluster.async_client.shards[sid]
+            for sid in cluster.async_client.placement(plain_key("/f"))
         ]
         for shard in victims:
             shard.fail_puts = True
@@ -55,6 +58,9 @@ class TestUpsertToleratesDuplicateCreate:
 
         class FlakyService:
             """steg_write says NotFound once, then the create collides."""
+
+            OPS = StegFSService.OPS
+            executor = None  # the loop's default pool
 
             def __init__(self):
                 from repro.errors import (
@@ -78,13 +84,16 @@ class TestUpsertToleratesDuplicateCreate:
                 raise self._exists_exc(objname)
 
         service = FlakyService()
-        shard = ServiceShard(service)
-        shard.steg_put("obj", UAK, b"payload")
+        shard = AsyncServiceShard(service)
+        asyncio.run(shard.steg_put("obj", UAK, b"payload"))
         assert service.calls == ["write", "create", "write"]
         assert service.stored == b"payload"
 
     def test_put_converges_when_file_appears_concurrently(self):
         class FlakyService:
+            OPS = StegFSService.OPS
+            executor = None  # the loop's default pool
+
             def __init__(self):
                 from repro.errors import FileExistsError_, FileNotFoundError_
 
@@ -104,8 +113,8 @@ class TestUpsertToleratesDuplicateCreate:
                 raise self._exists_exc(path)
 
         service = FlakyService()
-        shard = ServiceShard(service)
-        shard.put("/f", b"payload")
+        shard = AsyncServiceShard(service)
+        asyncio.run(shard.put("/f", b"payload"))
         assert service.calls == ["write", "create", "write"]
         assert service.stored == b"payload"
 
@@ -117,13 +126,13 @@ class TestTombstonedPlainListings:
         cluster = make_cluster(4, replication=2)
         cluster.create("/keep", b"stays")
         cluster.create("/gone", b"goes")
-        victim_id = cluster.placement(plain_key("/gone"))[0]
-        victim = cluster.shards[victim_id]
+        victim_id = cluster.async_client.placement(plain_key("/gone"))[0]
+        victim = cluster.async_client.shards[victim_id]
         victim.kill()
         cluster.unlink("/gone")  # removed from the reachable replica only
         victim.revive()
         cluster.probe_dead_shards()
-        assert victim.exists("/gone")  # the stale fragment is really there
+        assert victim.service.exists("/gone")  # the stale fragment is really there
         assert cluster.listdir("/") == ["keep"]
         with pytest.raises(FileNotFoundError_):
             cluster.read("/gone")

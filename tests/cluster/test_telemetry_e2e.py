@@ -1,10 +1,11 @@
 """Acceptance: the telemetry plane over a live mixed-transport cluster.
 
 A four-shard cluster — two shards behind real TCP ``StegFSServer``
-instances via :class:`RemoteShard`, two embedded via
-:class:`ServiceShard` — serves a hidden-file workload while a
+instances via :class:`AsyncRemoteShard`, two embedded via
+:class:`AsyncServiceShard` — serves a hidden-file workload while a
 :class:`TelemetryCollector` scrapes every shard plus the coordinator's
-own process through ``ClusterClient.scrape_targets()``.  Three claims:
+own process through ``BlockingClusterClient.scrape_targets()``.  Three
+claims:
 
 * **attribution** — per-shard labeled read rates, integrated over the
   scrape window, sum exactly to the coordinator's own read counter
@@ -23,8 +24,12 @@ import random
 
 import pytest
 
-from repro.cluster.backend import RemoteShard, ServiceShard
-from repro.cluster.coordinator import ClusterClient
+from repro.cluster.aio import (
+    AsyncClusterClient,
+    AsyncRemoteShard,
+    AsyncServiceShard,
+    BlockingClusterClient,
+)
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
 from repro.net.server import start_in_thread
@@ -68,15 +73,23 @@ def telemetry_cluster():
         start_in_thread(services[0], credentials={USER: UAK}),
         start_in_thread(services[1], credentials={USER: UAK}),
     ]
-    shards = {
-        "remote-0": RemoteShard.connect(*handles[0].address, user_id=USER, uak=UAK),
-        "remote-1": RemoteShard.connect(*handles[1].address, user_id=USER, uak=UAK),
-        "local-0": ServiceShard(services[2], owns_service=True),
-        "local-1": ServiceShard(services[3], owns_service=True),
-    }
-    cluster = ClusterClient(
-        shards, replication=1, write_quorum=1, owns_backends=True
-    )
+
+    async def factory() -> AsyncClusterClient:
+        shards = {
+            "remote-0": await AsyncRemoteShard.connect(
+                *handles[0].address, user_id=USER, uak=UAK
+            ),
+            "remote-1": await AsyncRemoteShard.connect(
+                *handles[1].address, user_id=USER, uak=UAK
+            ),
+            "local-0": AsyncServiceShard(services[2], owns_service=True),
+            "local-1": AsyncServiceShard(services[3], owns_service=True),
+        }
+        return AsyncClusterClient(
+            shards, replication=1, write_quorum=1, owns_backends=True
+        )
+
+    cluster = BlockingClusterClient(factory)
     clock = FakeClock()
     collector = TelemetryCollector(
         cluster.scrape_targets(),
@@ -122,7 +135,7 @@ class TestClusterTelemetryE2E:
         }
         assert all(state == "alive" for state in view.states().values())
 
-        coordinator_reads = cluster.stats.snapshot()["reads"]
+        coordinator_reads = cluster.stats.snapshot()["async.reads"]
         assert coordinator_reads == 15
         summed = sum(
             collector.ring(sid).rate("shard.op.steg_read.count") * window

@@ -3,16 +3,19 @@
 A connection that dies while idle in the LIFO pool (server restart being
 the canonical cause) used to surface a raw socket error on its next use.
 The client now evicts the broken socket and replays the exchange once on
-a fresh connection — which is also what cluster failover over
-:class:`~repro.cluster.backend.RemoteShard` leans on.
+a fresh connection.  The asyncio client redials its dead pool on the
+next call instead — which is what lets a restarted remote shard rejoin a
+cluster through :class:`~repro.cluster.aio.AsyncRemoteShard`.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.errors import ConnectionClosedError
-from repro.net.client import StegFSClient
+from repro.net.client import AsyncStegFSClient, StegFSClient
 from repro.net.server import start_in_thread
 
 USER = "alice"
@@ -92,6 +95,31 @@ class TestServerRestart:
             assert client.ping()
         finally:
             client.close()
+            handle.stop()
+
+    def test_async_client_redials_after_server_restart(self, service):
+        """The async pool has no retry-once: the call that meets the
+        outage fails, the next one redials."""
+        handle = start_in_thread(service, credentials={USER: UAK})
+        host, port = handle.address
+
+        async def scenario() -> None:
+            nonlocal handle
+            async with AsyncStegFSClient(host, port, pool_size=2) as client:
+                await client.create("/kept", b"across the restart")
+                handle.stop()
+                await asyncio.wait_for(client._reader_task, timeout=30)
+                with pytest.raises(ConnectionClosedError):
+                    await client.ping()
+                handle = start_in_thread(
+                    service, host=host, port=port, credentials={USER: UAK}
+                )
+                assert await client.ping()
+                assert await client.read("/kept") == b"across the restart"
+
+        try:
+            asyncio.run(scenario())
+        finally:
             handle.stop()
 
     def test_pending_call_during_outage_raises_cleanly(self, service):

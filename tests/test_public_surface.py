@@ -1,0 +1,25 @@
+"""The package roots export what they say, and nothing that is gone."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import repro
+import repro.cluster
+
+
+@pytest.mark.parametrize("package", [repro, repro.cluster], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(package):
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing
+    assert len(set(package.__all__)) == len(package.__all__)
+
+
+def test_threaded_cluster_plane_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.cluster.coordinator")
+    for name in ("ClusterClient", "RemoteShard", "ServiceShard", "ShardBackend"):
+        assert not hasattr(repro, name)
+        assert not hasattr(repro.cluster, name)

@@ -10,9 +10,8 @@ through a :class:`~repro.cluster.BlockingClusterClient` at 1 → 8 shards.
 
 The geometry is held constant while the cluster grows: replication 2
 (degrading gracefully to 1 on the single-shard baseline), write quorum
-1, single-replica reads (``read_fanout=1`` — read-repair still triggers
-on the divergence the widened path detects).  So the per-op work is
-constant and any rise in ops/sec is genuine horizontal scaling.
+1, and a read is one replica leg as everywhere else.  So the per-op work
+is constant and any rise in ops/sec is genuine horizontal scaling.
 
 Run from the command line (``--smoke`` for the CI-sized configuration)::
 
@@ -130,7 +129,6 @@ def _build_cluster(
             shards,
             replication=config.replication,
             write_quorum=config.write_quorum,
-            read_fanout=1,
             owns_backends=True,
         )
     )

@@ -150,10 +150,9 @@ def run(
     cluster, names = _build_cluster(config)
     try:
         # Warm-up, one whole trial un-timed: code paths, the FS's own
-        # caches, and every shard's worker pool.  While the pools are
-        # still spawning threads a read's losing leg is shed before it
-        # runs, so the first ~100 reads cost one leg of CPU instead of
-        # two and would hand the "off" arm an unbeatable best trial.
+        # caches, every shard's worker pool, and enough read legs for the
+        # hedge delay to be the measured p99 rather than the cold-start
+        # constant in every timed trial.
         _trial(cluster, names, config.ops_per_trial)
         for _ in range(config.trials):
             result.us_per_op.setdefault("off", []).append(

@@ -10,7 +10,7 @@ one namespace:
   and adding/removing a shard moves only the keys whose arc changed.
 * :mod:`repro.cluster.aio` — the one data plane.
   :class:`AsyncClusterClient` is the coordinator: quorum-replicated or
-  IDA-dispersed hidden files, versioned fragments, first-ack-wins reads,
+  IDA-dispersed hidden files, versioned fragments, one-leg hedged reads,
   early-ack writes, read-repair, failover — over in-process
   (:class:`AsyncServiceShard`) and remote (:class:`AsyncRemoteShard`)
   volumes behind one :class:`AsyncShardBackend` interface, so a cluster

@@ -22,24 +22,33 @@ task, never a thread:
   beyond the share length (plain files are always replicated).  Writes
   are **early-ack**: legs go out concurrently and the call returns at
   write quorum while the remaining "straggler" legs drain in the
-  background, serialized against the next same-key mutation.  IDA reads
-  accumulate shares and reconstruct the moment any version has ``m`` of
-  them.  Dead shards (:class:`~repro.cluster.health.HealthMonitor`) are
-  skipped by reads and writes alike, and stale, missing or corrupt
-  fragments a read meets are **read-repaired** under the per-key lock.
+  background, serialized against the next same-key mutation.  Dead
+  shards (:class:`~repro.cluster.health.HealthMonitor`) are skipped by
+  reads and writes alike, and stale, missing or corrupt fragments a read
+  meets — or knows of, from a write leg that failed or was skipped — are
+  **read-repaired** under the per-key lock.
 * :class:`BlockingClusterClient` — the same surface for threaded
   callers: a thin wrapper that submits each call to one
   :class:`AsyncClusterClient` on a private event-loop thread.
 
-Read semantics, recorded once: replica reads are **first-ack-wins** —
-every consulted replica is raced, the first intact fragment at or above
-the version this coordinator itself last acked wins, and the losing legs
-are cancelled (legs still queued behind a slow shard are genuinely
-shed).  That makes reads read-your-writes *per coordinator*; a read may
-return an older intact version than a slower replica holds when the
-newer write came from a different coordinator.  Only when no leg meets
-the acked version does a read wait for every consulted replica and take
-the highest version among them.
+Read semantics, recorded once: a read issues the legs it **needs** —
+one replica, or ``ida_m`` shares — and adds a leg only for a reason.  A
+finished leg that leaves the verdict short (shard down, object missing,
+corrupt fragment, version at or below the tombstone floor or below the
+version this coordinator last acked) is replaced at once: a *widening*.
+A leg that merely has not answered is **hedged**: after the p99 of this
+process's own completed read legs (``cluster.async.read_leg_ms``;
+:data:`_HEDGE_DELAY_S` until it holds :data:`_HEDGE_MIN_SAMPLES`) one
+more replica is asked, the first acceptable answer wins and the legs
+still pending are cancelled — a stalled replica costs one delay, a
+healthy cluster about 1 % extra legs.  Replica order is ring order with
+the replicas this coordinator *knows* miss the acked version last (a
+write leg still draining, failed, or skipped as dead), so a read
+straight after an early ack goes to a shard that has the bytes.  That
+makes reads read-your-writes *per coordinator*; a coordinator with no
+knowledge of a key may return an older intact version than another
+replica holds.  Only when no leg meets the acked version does a read
+consult the whole alive placement and take the highest version there.
 
 Deletions are quorum deletes plus an **in-memory tombstone** (the
 version floor below which fragments are ignored), which keeps a revived
@@ -48,7 +57,8 @@ lifetime; persisting tombstones cluster-wide is an open roadmap item.
 
 Counters land on :class:`ClusterStats` under ``async.*`` names, which the
 process registry exposes as ``cluster.async.reads``,
-``cluster.async.first_ack_wins``, ``cluster.async.cancelled_legs``,
+``cluster.async.read_legs``, ``cluster.async.hedged_reads``,
+``cluster.async.quorum_widenings``, ``cluster.async.cancelled_legs``,
 ``cluster.async.early_acks`` and so on.
 """
 
@@ -119,11 +129,17 @@ __all__ = [
 ]
 
 _ShardCall = Callable[[str, "AsyncShardBackend"], Awaitable[Any]]
+_ShardPut = Callable[[str, "AsyncShardBackend", bytes], Awaitable[None]]
 
-#: ``min_version`` no stored fragment can meet: the read then waits for
-#: every consulted replica and takes the newest intact version among them
-#: instead of the first ack (what a migration must copy).
+#: ``min_version`` no stored fragment can meet: the read then consults
+#: the whole alive placement in one wave and takes the newest intact
+#: version there (what a migration must copy).
 _NEWEST_OF_ALL = 1 << 64
+
+#: Hedge delay (seconds) until ``cluster.async.read_leg_ms`` holds enough
+#: samples (:data:`_HEDGE_MIN_SAMPLES`) for its p99 to mean something.
+_HEDGE_DELAY_S = 0.1
+_HEDGE_MIN_SAMPLES = 100
 
 
 def _canonical(name: str) -> str:
@@ -557,6 +573,117 @@ def _classify_empty_read(
     return missing_error(what)
 
 
+class _ReplicaVerdict:
+    """What a replicate-mode read's finished legs add up to.
+
+    The first *acceptable* fragment decides the read: intact (decodes,
+    above the tombstone ``floor``, digest matches) and at or above
+    ``min_version`` — the newest version this coordinator itself acked,
+    so a read can never travel back past the caller's own writes.
+    """
+
+    #: Legs a healthy read issues.
+    need = 1
+
+    def __init__(self, floor: int, min_version: int) -> None:
+        self.floor = floor
+        self.min_version = min_version
+        self.outcomes: dict[str, _Outcome] = {}
+        #: Shard id → its intact fragment above the floor, any version.
+        self.intact: dict[str, Fragment] = {}
+        #: ``(data, version)`` once an acceptable answer exists.
+        self.decided: tuple[bytes, int] | None = None
+
+    def absorb(self, shard_id: str, outcome: _Outcome) -> None:
+        """Judge one finished leg."""
+        self.outcomes[shard_id] = outcome
+        if not outcome.ok:
+            return
+        try:
+            fragment = decode_fragment(outcome.value)
+            if fragment.version > self.floor:
+                self._admit(shard_id, fragment)
+        except FragmentFormatError as exc:
+            self.outcomes[shard_id] = _Outcome(error=exc)
+
+    def _admit(self, shard_id: str, fragment: Fragment) -> None:
+        if digest_of(fragment.payload) != fragment.digest:
+            raise FragmentFormatError("replica digest mismatch")
+        self.intact[shard_id] = fragment
+        if self.decided is None and fragment.version >= self.min_version:
+            self.decided = (fragment.payload, fragment.version)
+
+    def wanted(self) -> int:
+        """Legs that should be in flight for the verdict to close."""
+        return 0 if self.decided else 1
+
+    def settle(self, missing_error: type[ReproError], what: str) -> tuple[bytes, int]:
+        """Every leg is in and none was acceptable: newest intact, or raise."""
+        if not self.intact:
+            raise _classify_empty_read(self.outcomes, missing_error, what)
+        newest = max(self.intact.values(), key=lambda f: f.version)
+        return newest.payload, newest.version
+
+
+class _ShareVerdict(_ReplicaVerdict):
+    """The ida-mode accumulator: the first version at or above
+    ``min_version`` holding ``m`` intact shares is reconstructed."""
+
+    def __init__(self, floor: int, min_version: int, m: int) -> None:
+        super().__init__(floor, min_version)
+        self.need = m
+        self.by_version: dict[int, dict[int, Fragment]] = {}
+
+    def _admit(self, shard_id: str, fragment: Fragment) -> None:
+        self.intact[shard_id] = fragment
+        group = self.by_version.setdefault(fragment.version, {})
+        group[fragment.index] = fragment
+        if self.decided is None and fragment.version >= self.min_version:
+            data = self._reconstruct(group)
+            if data is not None:
+                self.decided = (data, fragment.version)
+
+    @staticmethod
+    def _reconstruct(group: dict[int, Fragment]) -> bytes | None:
+        sample = next(iter(group.values()))
+        if len(group) < min(f.m for f in group.values()):
+            return None
+        try:
+            data = reconstruct(
+                [Share(f.index, f.payload) for f in group.values()], sample.m
+            )
+        except CryptoError:
+            return None
+        return data if digest_of(data) == sample.digest else None
+
+    def wanted(self) -> int:
+        if self.decided:
+            return 0
+        best = max(
+            (len(g) for v, g in self.by_version.items() if v >= self.min_version),
+            default=0,
+        )
+        return max(1, self.need - best)
+
+    def settle(self, missing_error: type[ReproError], what: str) -> tuple[bytes, int]:
+        for version in sorted(self.by_version, reverse=True):
+            data = self._reconstruct(self.by_version[version])
+            if data is not None:
+                return data, version
+        if not self.intact:
+            raise _classify_empty_read(self.outcomes, missing_error, what)
+        downs = sum(1 for outcome in self.outcomes.values() if outcome.down)
+        if downs:
+            raise ShardUnavailableError(
+                f"{what}: only {len(self.intact)} share(s) reachable, "
+                f"{downs} placement shard(s) down"
+            )
+        raise ClusterError(
+            f"{what}: {len(self.intact)} share(s) survive, need "
+            f"{min(f.m for f in self.intact.values())} to reconstruct"
+        )
+
+
 def _reap(tasks: Iterable[asyncio.Task]) -> None:
     """Cancel tasks without awaiting them; mark exceptions retrieved."""
 
@@ -575,9 +702,13 @@ class AsyncClusterClient:
     Placement (consistent-hash ring), redundancy modes (``replicate`` /
     ``ida``), quorum rules, version clock, tombstones, read-repair and
     failover live here, once.  Every fan-out leg is a task on the
-    caller's event loop, replica reads are first-ack-wins with losing
-    legs cancelled, and writes return at quorum with the remaining legs
-    draining in the background.
+    caller's event loop; a read issues the legs it needs (one replica,
+    ``ida_m`` shares) to the replicas known to hold the acked version,
+    replaces a leg that came back short at once and hedges one that is
+    merely slow after the p99 of its own read-leg history; writes return
+    at quorum with the remaining legs draining in the background.  Not
+    promised: a coordinator that never wrote or read a key may return an
+    older intact version than another replica holds.
 
     One instance belongs to one event loop; it is safe for any number of
     tasks on that loop.  Threaded callers want
@@ -588,7 +719,6 @@ class AsyncClusterClient:
         mode: ``"replicate"`` (full copies) or ``"ida"`` (m-of-n shares).
         replication / write_quorum: N and W for replicate mode.
         ida_m / ida_n / ida_write_quorum: dispersal geometry.
-        read_fanout: replicas raced per read (None = whole placement).
         vnodes: ring virtual nodes per shard.
         health: shared failure detector (one is created if omitted).
         owns_backends: close every backend on :meth:`close`.
@@ -610,7 +740,6 @@ class AsyncClusterClient:
         ida_m: int = 2,
         ida_n: int = 4,
         ida_write_quorum: int | None = None,
-        read_fanout: int | None = None,
         vnodes: int = DEFAULT_VNODES,
         health: HealthMonitor | None = None,
         owns_backends: bool = False,
@@ -638,7 +767,6 @@ class AsyncClusterClient:
         self._ida_m = ida_m
         self._ida_n = ida_n
         self._ida_write_quorum = ida_write_quorum
-        self._read_fanout = read_fanout
         self._shards: dict[str, AsyncShardBackend] = dict(
             shards.items() if isinstance(shards, Mapping) else shards
         )
@@ -658,8 +786,14 @@ class AsyncClusterClient:
         # read-repair/write race), and a new same-key write must not race
         # the previous write's straggler legs.
         self._key_locks = tuple(asyncio.Lock() for _ in range(64))
-        # key -> background write legs still draining after an early ack.
-        self._stragglers: dict[str, set[asyncio.Task]] = {}
+        # key -> (version, shards known to hold it), kept only for versions
+        # this coordinator stored itself: every other placement member is
+        # then *known* to miss it (leg failed, skipped as dead) or is still
+        # draining below.  Orders read legs and feeds read-repair.
+        self._ackers: dict[str, tuple[int, set[str]]] = {}
+        # key -> background write legs (task -> shard id) still draining
+        # after an early ack.
+        self._stragglers: dict[str, dict[asyncio.Task, str]] = {}
         # Telemetry for the straggler machinery: backlog depth and how
         # long callers queue on the per-key stripes.  Process-wide series
         # — two clients in one process add into the same instruments.
@@ -671,6 +805,10 @@ class AsyncClusterClient:
         self._lock_wait_hist = registry.histogram(
             "cluster.async.key_lock_wait_ms",
             "milliseconds spent queueing on a per-key stripe lock",
+        )
+        self._read_leg_hist = registry.histogram(
+            "cluster.async.read_leg_ms",
+            "milliseconds a completed read leg took (its p99 is the hedge delay)",
         )
         self._closed = False
 
@@ -743,6 +881,7 @@ class AsyncClusterClient:
         self._ring.add_node(shard_id)
         self._shards[shard_id] = backend
         self._health.register(shard_id)
+        self._ackers.clear()  # placements moved: who-holds-what is void
 
     def detach_shard(self, shard_id: str) -> AsyncShardBackend:
         """Remove a shard from the ring; returns its backend (not closed)."""
@@ -753,6 +892,7 @@ class AsyncClusterClient:
         self._ring.remove_node(shard_id)
         backend = self._shards.pop(shard_id)
         self._health.forget(shard_id)
+        self._ackers.clear()
         return backend
 
     # ------------------------------------------------------------------
@@ -890,26 +1030,44 @@ class AsyncClusterClient:
     # write stragglers (early-acked legs still draining)
     # ------------------------------------------------------------------
 
-    def _track_stragglers(self, key: str, tasks: Iterable[asyncio.Task]) -> None:
-        bucket = self._stragglers.setdefault(key, set())
+    def _note_holders(self, key: str, version: int, shard_ids: Iterable[str]) -> None:
+        entry = self._ackers.get(key)
+        if entry is not None and entry[0] == version:
+            entry[1].update(shard_ids)
+
+    def _lagging(self, key: str, placement: tuple[str, ...], version: int) -> list[str]:
+        """Alive placement shards known to miss ``version`` (not mid-drain)."""
+        entry = self._ackers.get(key)
+        if entry is None or entry[0] != version:
+            return []
+        draining = self._stragglers.get(key, {}).values()
+        return [
+            shard_id
+            for shard_id in self._health.alive_of(placement)
+            if shard_id not in entry[1] and shard_id not in draining
+        ]
+
+    def _track_stragglers(
+        self, key: str, version: int, tasks: dict[asyncio.Task, str]
+    ) -> None:
+        self._stragglers.setdefault(key, {}).update(tasks)
         for task in tasks:
-            bucket.add(task)
             self._straggler_gauge.add(1)
             task.add_done_callback(
-                lambda t, key=key: self._straggler_done(key, t)
+                lambda t: self._straggler_done(key, version, t)
             )
 
-    def _straggler_done(self, key: str, task: asyncio.Task) -> None:
+    def _straggler_done(self, key: str, version: int, task: asyncio.Task) -> None:
         self._straggler_gauge.add(-1)
-        bucket = self._stragglers.get(key)
-        if bucket is not None:
-            bucket.discard(task)
-            if not bucket:
-                self._stragglers.pop(key, None)
+        bucket = self._stragglers.get(key, {})
+        shard_id = bucket.pop(task, None)
+        if not bucket:
+            self._stragglers.pop(key, None)
         if task.cancelled() or task.exception() is not None:
             return
-        outcome = task.result()
-        if not outcome.ok:
+        if task.result().ok:
+            self._note_holders(key, version, (shard_id,))
+        else:
             self._stats.increment("async.straggler_failures")
 
     async def _drain_stragglers(self, key: str) -> None:
@@ -930,169 +1088,179 @@ class AsyncClusterClient:
     async def _store_quorum(
         self,
         key: str,
+        version: int,
         tasks: dict[asyncio.Task, str],
         total: int,
         quorum: int,
         what: str,
-    ) -> int:
+    ) -> None:
         """Await write legs until ``quorum`` acks; leave the rest draining."""
         pending: set[asyncio.Task] = set(tasks)
-        acks = 0
+        acked: set[str] = set()
         try:
-            while pending and acks < quorum:
+            while pending and len(acked) < quorum:
                 done, pending = await asyncio.wait(
                     pending, return_when=asyncio.FIRST_COMPLETED
                 )
-                for task in done:
-                    if task.result().ok:
-                        acks += 1
+                acked.update(tasks[task] for task in done if task.result().ok)
         except BaseException:
             _reap(pending)
             raise
-        if acks < quorum:
+        if len(acked) < quorum:
             raise ClusterQuorumError(
-                f"{what} reached {acks} of {total} shards (quorum {quorum})"
+                f"{what} reached {len(acked)} of {total} shards (quorum {quorum})"
             )
+        self._ackers[key] = (version, acked)
         if pending:
             self._stats.increment("async.early_acks")
-            self._track_stragglers(key, pending)
-        elif acks < total:
+            self._track_stragglers(
+                key, version, {task: tasks[task] for task in pending}
+            )
+        elif len(acked) < total:
             self._stats.increment("async.degraded_writes")
-        return acks
 
-    async def _store_replicated(
-        self,
-        key: str,
-        placement: tuple[str, ...],
-        version: int,
-        data: bytes,
-        put: Callable[[str, AsyncShardBackend, bytes], Awaitable[None]],
-    ) -> int:
-        alive = self._alive(placement)
-        envelope = encode_fragment(
-            Fragment(
+    def _envelopes(
+        self, placement: tuple[str, ...], version: int, data: bytes, dispersed: bool
+    ) -> dict[str, bytes]:
+        """Shard id → the encoded fragment each placement member stores."""
+        n = len(placement)
+        digest = digest_of(data)
+        if not dispersed:
+            replica = Fragment(
                 mode=MODE_REPLICATE,
                 version=version,
                 index=0,
                 m=1,
-                n=len(placement),
-                digest=digest_of(data),
+                n=n,
+                digest=digest,
                 payload=data,
             )
-        )
-        tasks = self._spawn(
-            alive, lambda sid, backend: put(sid, backend, envelope)
-        )
-        quorum = min(self._write_quorum, len(placement))
-        return await self._store_quorum(
-            key, tasks, len(placement), quorum, "write"
-        )
+            return dict.fromkeys(placement, encode_fragment(replica))
+        if n < self._ida_m:
+            raise ClusterError(
+                f"cannot disperse across {n} shards with m={self._ida_m}"
+            )
+        # disperse() is deterministic (fixed Vandermonde rows), so shares
+        # regenerated for a repair are byte-identical to the surviving ones.
+        return {
+            shard_id: encode_fragment(
+                Fragment(
+                    mode=MODE_IDA,
+                    version=version,
+                    index=share.index,
+                    m=self._ida_m,
+                    n=n,
+                    digest=digest,
+                    payload=share.payload,
+                )
+            )
+            for shard_id, share in zip(placement, disperse(data, self._ida_m, n))
+        }
 
-    async def _store_dispersed(
+    async def _store(
         self,
         key: str,
         placement: tuple[str, ...],
         version: int,
         data: bytes,
-        put: Callable[[str, AsyncShardBackend, bytes], Awaitable[None]],
-    ) -> int:
-        n_eff = len(placement)
-        if n_eff < self._ida_m:
-            raise ClusterError(
-                f"cannot disperse across {n_eff} shards with m={self._ida_m}"
-            )
-        alive = set(self._alive(placement))
-        digest = digest_of(data)
-        shares = disperse(data, self._ida_m, n_eff)
-        envelopes = {
-            shard_id: encode_fragment(
-                Fragment(
-                    mode=MODE_IDA,
-                    version=version,
-                    index=shares[position].index,
-                    m=self._ida_m,
-                    n=n_eff,
-                    digest=digest,
-                    payload=shares[position].payload,
-                )
-            )
-            for position, shard_id in enumerate(placement)
-            if shard_id in alive
-        }
+        put: _ShardPut,
+        dispersed: bool = False,
+    ) -> None:
+        """One fragment per alive placement shard, early-acked at quorum."""
+        envelopes = self._envelopes(placement, version, data, dispersed)
         tasks = self._spawn(
-            envelopes, lambda sid, backend: put(sid, backend, envelopes[sid])
+            self._alive(placement),
+            lambda sid, backend: put(sid, backend, envelopes[sid]),
         )
-        quorum = max(self._ida_m, min(self._ida_write_quorum, n_eff))
-        return await self._store_quorum(key, tasks, n_eff, quorum, "dispersal")
+        n = len(placement)
+        if dispersed:
+            quorum, what = max(self._ida_m, min(self._ida_write_quorum, n)), "dispersal"
+        else:
+            quorum, what = min(self._write_quorum, n), "write"
+        await self._store_quorum(key, version, tasks, n, quorum, what)
 
     # ------------------------------------------------------------------
-    # first-ack-wins reads
+    # reads: the legs a read needs, then one more for a reason
     # ------------------------------------------------------------------
 
-    def _consider(
-        self,
-        shard_id: str,
-        outcome: _Outcome,
-        outcomes: dict[str, _Outcome],
-        candidates: dict[str, Fragment],
-        floor: int,
-    ) -> Fragment | None:
-        """Decode and verify one completed leg into ``candidates``."""
-        if not outcome.ok or shard_id in candidates:
-            return None
-        try:
-            fragment = decode_fragment(outcome.value)
-        except FragmentFormatError as exc:
-            outcomes[shard_id] = _Outcome(error=exc)
-            return None
-        if fragment.version <= floor:
-            return None
-        if digest_of(fragment.payload) != fragment.digest:
-            outcomes[shard_id] = _Outcome(
-                error=FragmentFormatError("replica digest mismatch")
-            )
-            return None
-        candidates[shard_id] = fragment
-        return fragment
+    def _hedge_delay(self) -> float:
+        """Seconds an open verdict waits before one more replica is asked:
+        the p99 of completed read legs (bucket upper bound, so never below
+        the true p99), or the cold-start constant while the histogram is
+        short — it records nothing while observability is switched off."""
+        if self._read_leg_hist.count < _HEDGE_MIN_SAMPLES:
+            return _HEDGE_DELAY_S
+        return self._read_leg_hist.percentile(99.0) / 1000.0
 
-    async def _race_round(
+    async def _read(
         self,
-        targets: list[str],
+        key: str,
+        placement: tuple[str, ...],
         fetch: _ShardCall,
-        outcomes: dict[str, _Outcome],
-        candidates: dict[str, Fragment],
-        floor: int,
-        min_version: int,
-    ) -> Fragment | None:
-        """Race one wave of fetch legs; first acceptable fragment wins.
+        missing_error: type[ReproError],
+        what: str,
+        *,
+        dispersed: bool = False,
+        newest_of_all: bool = False,
+    ) -> _ReadVerdict:
+        """The one read launch loop (replicate, ida, plain, rebalancer).
 
-        Acceptable means intact (decodes, digest matches, above the
-        tombstone floor) and at or above ``min_version`` — the newest
-        version this coordinator itself acked, so a race can never
-        travel back past the caller's own writes.  On a win the still
-        pending legs are cancelled and awaited (their late errors are
-        swallowed); legs already executing on a shard's worker pool
-        finish there and are discarded.
+        Wave one is the legs the verdict needs, to the alive replicas in
+        ring order with those known to miss the acked version last.  A
+        finished leg that leaves the verdict short is replaced at once (a
+        widening); an unanswered one is hedged after :meth:`_hedge_delay`.
+        The first acceptable answer cancels what is still pending (late
+        errors are swallowed; a leg already on a shard's worker pool
+        finishes there and is discarded).  ``newest_of_all`` consults the
+        whole alive placement in wave one and takes the newest intact
+        version.  Only legs that finished are judged stale.
         """
-        tasks = self._spawn(targets, fetch)
-        pending: set[asyncio.Task] = set(tasks)
-        winner: Fragment | None = None
+        queue = self._alive(placement)
+        entry = self._ackers.get(key)
+        min_version = _NEWEST_OF_ALL if newest_of_all else self._acked_version(key)
+        if entry is not None and entry[0] == min_version:
+            queue.sort(key=lambda shard_id: shard_id not in entry[1])
+        floor = self._version_floor(key)
+        state = (
+            _ShareVerdict(floor, min_version, self._ida_m)
+            if dispersed
+            else _ReplicaVerdict(floor, min_version)
+        )
+        legs: dict[asyncio.Task, tuple[str, float]] = {}
+        pending: set[asyncio.Task] = set()
+
+        def launch(count: int) -> int:
+            wave = queue[: max(0, count)]
+            del queue[: len(wave)]
+            now = time.perf_counter()
+            for task, shard_id in self._spawn(wave, fetch).items():
+                legs[task] = (shard_id, now)
+                pending.add(task)
+            if wave:
+                self._stats.increment("async.read_legs", len(wave))
+            return len(wave)
+
+        launch(len(queue) if newest_of_all else state.need)
         try:
-            while pending and winner is None:
+            while pending and state.decided is None:
                 done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
+                    pending,
+                    timeout=self._hedge_delay() if queue else None,
+                    return_when=asyncio.FIRST_COMPLETED,
                 )
+                if not done:
+                    self._stats.increment("async.hedged_reads", launch(1))
+                    continue
+                now = time.perf_counter()
                 for task in done:
-                    shard_id = tasks[task]
+                    shard_id, started = legs[task]
                     outcome = task.result()
-                    outcomes[shard_id] = outcome
-                    fragment = self._consider(
-                        shard_id, outcome, outcomes, candidates, floor
-                    )
-                    if fragment is None or fragment.version < min_version:
-                        continue
-                    if winner is None or fragment.version > winner.version:
-                        winner = fragment
+                    if outcome.ok:
+                        self._read_leg_hist.observe((now - started) * 1000.0)
+                    state.absorb(shard_id, outcome)
+                widened = launch(state.wanted() - len(pending))
+                if widened:
+                    self._stats.increment("async.quorum_widenings", widened)
         except BaseException:
             _reap(pending)
             raise
@@ -1101,244 +1269,68 @@ class AsyncClusterClient:
             for task in pending:
                 task.cancel()
             await asyncio.gather(*pending, return_exceptions=True)
-        return winner
-
-    async def _read_replicated(
-        self,
-        key: str,
-        placement: tuple[str, ...],
-        floor: int,
-        fetch: _ShardCall,
-        missing_error: type[ReproError],
-        what: str,
-        min_version: int = 0,
-    ) -> _ReadVerdict:
-        """First-ack-wins replica read, widening when the race finds nothing.
-
-        ``read_fanout`` bounds the first wave; the read widens to the
-        rest of the alive placement when the narrow wave yields nothing
-        acceptable.  If no leg produced an acceptable fragment but some
-        produced intact ones (all below ``min_version``), every leg has
-        been awaited and the newest of those wins.  Only legs that
-        completed are considered for the stale (repair) list; cancelled
-        losers are unknown, not stale.
-        """
-        alive = self._alive(placement)
-        fanout = len(alive) if self._read_fanout is None else self._read_fanout
-        targets = alive[: max(1, fanout)]
-        outcomes: dict[str, _Outcome] = {}
-        candidates: dict[str, Fragment] = {}
-        winner = await self._race_round(
-            targets, fetch, outcomes, candidates, floor, min_version
-        )
-        if winner is None and len(targets) < len(alive):
-            self._stats.increment("async.quorum_widenings")
-            rest = [sid for sid in alive if sid not in outcomes]
-            winner = await self._race_round(
-                rest, fetch, outcomes, candidates, floor, min_version
-            )
-        if winner is not None:
-            self._stats.increment("async.first_ack_wins")
-        elif candidates:
-            winner = max(candidates.values(), key=lambda f: f.version)
-        else:
-            raise _classify_empty_read(outcomes, missing_error, what)
-        stale = [
-            shard_id
-            for shard_id in outcomes
-            if candidates.get(shard_id) is None
-            or candidates[shard_id].version < winner.version
-        ]
-        return _ReadVerdict(data=winner.payload, version=winner.version, stale=stale)
-
-    async def _read_dispersed(
-        self,
-        key: str,
-        placement: tuple[str, ...],
-        floor: int,
-        fetch: _ShardCall,
-        missing_error: type[ReproError],
-        what: str,
-        min_version: int = 0,
-    ) -> _ReadVerdict:
-        """Accumulate-until-m share read: reconstruct as soon as possible.
-
-        Legs race over the whole alive placement; the moment any version
-        at or above ``min_version`` holds ``m`` intact shares, the file
-        is reconstructed and the remaining legs are cancelled.  When no
-        version gets there early, every leg is awaited and the newest
-        reconstructable version wins.
-        """
-        alive = self._alive(placement)
-        outcomes: dict[str, _Outcome] = {}
-        holders: dict[str, Fragment] = {}
-        by_version: dict[int, dict[int, Fragment]] = {}
-        tasks = self._spawn(alive, fetch)
-        pending: set[asyncio.Task] = set(tasks)
-        early: tuple[bytes, int] | None = None
-
-        def absorb(shard_id: str, outcome: _Outcome) -> dict[int, Fragment] | None:
-            outcomes[shard_id] = outcome
-            if not outcome.ok:
-                return None
-            try:
-                fragment = decode_fragment(outcome.value)
-            except FragmentFormatError as exc:
-                outcomes[shard_id] = _Outcome(error=exc)
-                return None
-            if fragment.version <= floor:
-                return None
-            holders[shard_id] = fragment
-            group = by_version.setdefault(fragment.version, {})
-            group[fragment.index] = fragment
-            return group
-
-        def attempt(group: dict[int, Fragment]) -> bytes | None:
-            if len(group) < min(f.m for f in group.values()):
-                return None
-            sample = next(iter(group.values()))
-            shares = [Share(f.index, f.payload) for f in group.values()]
-            try:
-                data = reconstruct(shares, sample.m)
-            except CryptoError:
-                return None
-            if digest_of(data) != sample.digest:
-                return None
-            return data
-
-        try:
-            while pending and early is None:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in done:
-                    shard_id = tasks[task]
-                    group = absorb(shard_id, task.result())
-                    if group is None:
-                        continue
-                    version = holders[shard_id].version
-                    if version < min_version:
-                        continue
-                    data = attempt(group)
-                    if data is not None:
-                        early = (data, version)
-        except BaseException:
-            _reap(pending)
-            raise
-        if pending:
-            self._stats.increment("async.cancelled_legs", len(pending))
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
-        if early is not None:
-            data, version = early
-            self._stats.increment("async.reconstructions")
-            self._stats.increment("async.first_ack_wins")
-        else:
-            resolved: tuple[bytes, int] | None = None
-            for version in sorted(by_version, reverse=True):
-                data = attempt(by_version[version])
-                if data is not None:
-                    resolved = (data, version)
-                    break
-            if resolved is None:
-                if holders:
-                    downs = [
-                        sid for sid, outcome in outcomes.items() if outcome.down
-                    ]
-                    if downs:
-                        raise ShardUnavailableError(
-                            f"{what}: only {len(holders)} share(s) reachable, "
-                            f"{len(downs)} placement shard(s) down"
-                        )
-                    raise ClusterError(
-                        f"{what}: {len(holders)} share(s) survive, need "
-                        f"{min(f.m for f in holders.values())} to reconstruct"
-                    )
-                raise _classify_empty_read(outcomes, missing_error, what)
-            data, version = resolved
+        data, version = state.decided or state.settle(missing_error, what)
+        if dispersed:
             self._stats.increment("async.reconstructions")
         stale = [
             shard_id
-            for shard_id in outcomes
-            if holders.get(shard_id) is None
-            or holders[shard_id].version < version
+            for shard_id in state.outcomes
+            if shard_id not in state.intact
+            or state.intact[shard_id].version < version
         ]
         return _ReadVerdict(data=data, version=version, stale=stale)
 
-    # ------------------------------------------------------------------
-    # repair
-    # ------------------------------------------------------------------
-
-    async def _repair_replicated(
+    async def _read_repairing(
         self,
-        placement: tuple[str, ...],
-        verdict: _ReadVerdict,
-        put: Callable[[str, AsyncShardBackend, bytes], Awaitable[None]],
-    ) -> None:
-        if not verdict.stale:
-            return
-        envelope = encode_fragment(
-            Fragment(
-                mode=MODE_REPLICATE,
-                version=verdict.version,
-                index=0,
-                m=1,
-                n=len(placement),
-                digest=digest_of(verdict.data),
-                payload=verdict.data,
-            )
-        )
-        outcomes = await self._fanout(
-            verdict.stale, lambda sid, backend: put(sid, backend, envelope)
-        )
-        repaired = sum(1 for outcome in outcomes.values() if outcome.ok)
-        if repaired:
-            self._stats.increment("async.read_repairs", repaired)
+        key: str,
+        fetch: _ShardCall,
+        put: _ShardPut,
+        missing_error: type[ReproError],
+        what: str,
+        dispersed: bool = False,
+    ) -> bytes:
+        """A client read: :meth:`_read`, then heal what it found or knew.
 
-    async def _repair_dispersed(
-        self,
-        placement: tuple[str, ...],
-        verdict: _ReadVerdict,
-        put: Callable[[str, AsyncShardBackend, bytes], Awaitable[None]],
-    ) -> None:
-        if not verdict.stale:
-            return
-        digest = digest_of(verdict.data)
-        # disperse() is deterministic (fixed Vandermonde rows), so shares
-        # regenerated here are byte-identical to the surviving ones.
-        shares = disperse(verdict.data, self._ida_m, len(placement))
-        position_of = {shard_id: i for i, shard_id in enumerate(placement)}
-        envelopes = {
-            shard_id: encode_fragment(
-                Fragment(
-                    mode=MODE_IDA,
-                    version=verdict.version,
-                    index=shares[position_of[shard_id]].index,
-                    m=self._ida_m,
-                    n=len(placement),
-                    digest=digest,
-                    payload=shares[position_of[shard_id]].payload,
-                )
-            )
-            for shard_id in verdict.stale
-            if shard_id in position_of
-        }
-        outcomes = await self._fanout(
-            envelopes, lambda sid, backend: put(sid, backend, envelopes[sid])
+        Repair targets are the legs that came back stale plus the alive
+        placement shards *known* to miss the winning version (their write
+        leg failed, or they were dead when it went out) — rewritten once
+        under the key lock, at no extra read leg, and then recorded as
+        holders.
+        """
+        placement = self.placement(key)
+        verdict = await self._read(
+            key, placement, fetch, missing_error, what, dispersed=dispersed
         )
-        repaired = sum(1 for outcome in outcomes.values() if outcome.ok)
-        if repaired:
-            self._stats.increment("async.read_repairs", repaired)
+        self._observe_version(key, verdict.version)
+        if verdict.stale or self._lagging(key, placement, verdict.version):
+            async with self._locked(key):
+                await self._drain_stragglers(key)
+                # Re-check under the lock: a writer may have advanced the
+                # object past this read's winner, making the repair stale.
+                if verdict.version >= self._acked_version(key):
+                    targets = dict.fromkeys(
+                        verdict.stale
+                        + self._lagging(key, placement, verdict.version)
+                    )
+                    envelopes = self._envelopes(
+                        placement, verdict.version, verdict.data, dispersed
+                    )
+                    outcomes = await self._fanout(
+                        targets, lambda sid, backend: put(sid, backend, envelopes[sid])
+                    )
+                    repaired = [sid for sid, outcome in outcomes.items() if outcome.ok]
+                    if repaired:
+                        self._stats.increment("async.read_repairs", len(repaired))
+                        self._note_holders(key, verdict.version, repaired)
+        self._stats.increment("async.reads")
+        return verdict.data
 
     # ------------------------------------------------------------------
     # plain namespace (always replicated)
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _plain_put(
-        path: str,
-    ) -> Callable[[str, AsyncShardBackend, bytes], Awaitable[None]]:
+    def _plain_put(path: str) -> _ShardPut:
         return lambda sid, backend, envelope: backend.put(path, envelope)
 
     @staticmethod
@@ -1357,9 +1349,7 @@ class AsyncClusterClient:
             )
             if exists:
                 raise FileExistsError_(path)
-            await self._store_replicated(
-                key, placement, version, data, self._plain_put(path)
-            )
+            await self._store(key, placement, version, data, self._plain_put(path))
             self._commit_version(key, version)
         self._stats.increment("async.writes")
 
@@ -1375,35 +1365,19 @@ class AsyncClusterClient:
             )
             if not exists:
                 raise FileNotFoundError_(path)
-            await self._store_replicated(
-                key, placement, version, data, self._plain_put(path)
-            )
+            await self._store(key, placement, version, data, self._plain_put(path))
             self._commit_version(key, version)
         self._stats.increment("async.writes")
 
     async def read(self, path: str) -> bytes:
-        """Read a plain file: first intact acceptable replica wins."""
-        key = plain_key(path)
-        placement = self.placement(key)
-        verdict = await self._read_replicated(
-            key,
-            placement,
-            self._version_floor(key),
+        """Read a plain file from one replica (hedged, read-repairing)."""
+        return await self._read_repairing(
+            plain_key(path),
             lambda sid, backend: backend.read(path),
+            self._plain_put(path),
             FileNotFoundError_,
             path,
-            min_version=self._acked_version(key),
         )
-        self._observe_version(key, verdict.version)
-        if verdict.stale:
-            async with self._locked(key):
-                await self._drain_stragglers(key)
-                if verdict.version >= self._acked_version(key):
-                    await self._repair_replicated(
-                        placement, verdict, self._plain_put(path)
-                    )
-        self._stats.increment("async.reads")
-        return verdict.data
 
     async def unlink(self, path: str) -> None:
         """Delete a plain file from every reachable replica."""
@@ -1460,9 +1434,7 @@ class AsyncClusterClient:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _hidden_put(
-        objname: str, uak: bytes
-    ) -> Callable[[str, AsyncShardBackend, bytes], Awaitable[None]]:
+    def _hidden_put(objname: str, uak: bytes) -> _ShardPut:
         return lambda sid, backend, envelope: backend.steg_put(
             objname, uak, envelope
         )
@@ -1482,11 +1454,14 @@ class AsyncClusterClient:
         version: int,
         data: bytes,
     ) -> None:
-        put = self._hidden_put(objname, uak)
-        if self._mode == MODE_IDA:
-            await self._store_dispersed(key, placement, version, data, put)
-        else:
-            await self._store_replicated(key, placement, version, data, put)
+        await self._store(
+            key,
+            placement,
+            version,
+            data,
+            self._hidden_put(objname, uak),
+            dispersed=self._mode == MODE_IDA,
+        )
 
     async def steg_create(
         self, objname: str, uak: bytes, data: bytes = b"", objtype: str = "f"
@@ -1528,45 +1503,15 @@ class AsyncClusterClient:
         self._stats.increment("async.writes")
 
     async def steg_read(self, objname: str, uak: bytes) -> bytes:
-        """Read a hidden file: first-ack replicas or any-m-of-n shares."""
-        key = hidden_key(objname, uak)
-        placement = self.placement(key)
-        floor = self._version_floor(key)
-        fetch = lambda sid, backend: backend.steg_read(objname, uak)  # noqa: E731
-        put = self._hidden_put(objname, uak)
-        if self._mode == MODE_IDA:
-            verdict = await self._read_dispersed(
-                key,
-                placement,
-                floor,
-                fetch,
-                HiddenObjectNotFoundError,
-                objname,
-                min_version=self._acked_version(key),
-            )
-        else:
-            verdict = await self._read_replicated(
-                key,
-                placement,
-                floor,
-                fetch,
-                HiddenObjectNotFoundError,
-                objname,
-                min_version=self._acked_version(key),
-            )
-        if verdict.stale:
-            async with self._locked(key):
-                await self._drain_stragglers(key)
-                # Re-check under the lock: a writer may have advanced the
-                # object past this read's winner, making the repair stale.
-                if verdict.version >= self._acked_version(key):
-                    if self._mode == MODE_IDA:
-                        await self._repair_dispersed(placement, verdict, put)
-                    else:
-                        await self._repair_replicated(placement, verdict, put)
-        self._observe_version(key, verdict.version)
-        self._stats.increment("async.reads")
-        return verdict.data
+        """Read a hidden file: one replica, or ``m`` shares reconstructed."""
+        return await self._read_repairing(
+            hidden_key(objname, uak),
+            lambda sid, backend: backend.steg_read(objname, uak),
+            self._hidden_put(objname, uak),
+            HiddenObjectNotFoundError,
+            objname,
+            dispersed=self._mode == MODE_IDA,
+        )
 
     async def steg_delete(self, objname: str, uak: bytes) -> None:
         """Delete a hidden object from every reachable placement shard."""
@@ -1634,15 +1579,13 @@ class AsyncClusterClient:
     ) -> tuple[bytes, int]:
         """(data, version) of a plain file: the newest intact replica
         among ``placement``'s alive shards — every one consulted, no repair."""
-        key = plain_key(path)
-        verdict = await self._read_replicated(
-            key,
+        verdict = await self._read(
+            plain_key(path),
             placement,
-            self._version_floor(key),
             lambda sid, backend: backend.read(path),
             FileNotFoundError_,
             path,
-            min_version=_NEWEST_OF_ALL,
+            newest_of_all=True,
         )
         return verdict.data, verdict.version
 
@@ -1651,16 +1594,14 @@ class AsyncClusterClient:
     ) -> tuple[bytes, int]:
         """(data, version) of a hidden file: the newest intact (or
         reconstructable) version among ``placement``'s alive shards."""
-        key = hidden_key(objname, uak)
-        read = self._read_dispersed if self._mode == MODE_IDA else self._read_replicated
-        verdict = await read(
-            key,
+        verdict = await self._read(
+            hidden_key(objname, uak),
             placement,
-            self._version_floor(key),
             lambda sid, backend: backend.steg_read(objname, uak),
             HiddenObjectNotFoundError,
             objname,
-            min_version=_NEWEST_OF_ALL,
+            dispersed=self._mode == MODE_IDA,
+            newest_of_all=True,
         )
         return verdict.data, verdict.version
 
@@ -1673,9 +1614,7 @@ class AsyncClusterClient:
         not done while a replica is still in flight.
         """
         key = plain_key(path)
-        await self._store_replicated(
-            key, placement, version, data, self._plain_put(path)
-        )
+        await self._store(key, placement, version, data, self._plain_put(path))
         await self._drain_stragglers(key)
         self._observe_version(key, version)
 
@@ -1750,7 +1689,7 @@ class BlockingClusterClient:
     Runs a private event loop on a daemon thread, builds the async
     client there, and exposes the familiar blocking cluster surface by
     submitting each call with ``run_coroutine_threadsafe`` — the async
-    data plane (pipelined legs, first-ack reads, early-ack writes)
+    data plane (pipelined legs, hedged reads, early-ack writes)
     without the caller adopting asyncio.  Safe for many threads; every
     operation is serialized onto the one loop.
 

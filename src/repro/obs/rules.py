@@ -245,15 +245,16 @@ def flapping_shard_rule(
 def quorum_widening_rule(
     per_second: float = 0.5, window_s: float = 30.0
 ) -> Rule:
-    """Sustained quorum widenings: replicas disagree faster than repair."""
+    """Sustained quorum widenings: replicas disagree faster than repair.
 
-    names = ("cluster.quorum_widenings", "cluster.async.quorum_widenings")
+    Hedged legs (``cluster.async.hedged_reads``) are deliberately not
+    counted: a slow shard is not a disagreeing one.
+    """
 
     def check(view: Any, rings: Mapping[str, Any]) -> list[Firing]:
         total = sum(
-            ring.rate(name, window_s)
+            ring.rate("cluster.async.quorum_widenings", window_s)
             for ring in rings.values()
-            for name in names
         )
         if total > per_second:
             return [

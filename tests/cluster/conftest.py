@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import Counter
 from typing import Any, Awaitable, Callable
 
 import pytest
@@ -16,10 +17,22 @@ from repro.cluster.aio import (
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
 from repro.errors import NoSpaceError
+from repro.obs.metrics import get_registry
 from repro.service.service import StegFSService
 from repro.storage.block_device import RamDevice
 
 UAK = b"C" * 32
+
+
+@pytest.fixture(autouse=True)
+def cold_hedge_delay():
+    """Every test's coordinators start on the cold-start hedge delay.
+
+    The delay is the p99 of the process-wide ``cluster.async.read_leg_ms``
+    histogram once it holds enough samples; dropping the instrument keeps
+    one test's injected stalls out of the next test's hedge timing.
+    """
+    get_registry().unregister("cluster.async.read_leg_ms")
 
 
 def make_shard_service(seed: int, total_blocks: int = 4096) -> StegFSService:
@@ -43,13 +56,15 @@ class FaultyShard:
     * ``fail_puts`` makes only the upsert paths raise ``NoSpaceError``
       while the shard stays alive and readable (a full disk, not a dead
       machine).
-    * ``delays[op]`` makes ``op`` sleep first — and if the leg is
+    * ``delays[op]`` makes ``op`` sleep first (a delayed leg that also
+      faults does so *after* the sleep: a slow failure) — and if the leg is
       *cancelled* during that sleep, ``error_on_cancel`` (when set) is
       raised in place of ``CancelledError``: the misbehaving-backend
       edge where a losing leg errors only after the race was decided.
 
-    ``service`` is the volume underneath: tests inspect what a shard
-    really stores through it, past every injected fault.
+    ``calls[op]`` counts every call that reached the proxy, faulted or
+    not.  ``service`` is the volume underneath: tests inspect what a
+    shard really stores through it, past every injected fault.
     """
 
     def __init__(self, inner: AsyncServiceShard) -> None:
@@ -58,6 +73,7 @@ class FaultyShard:
         self.fail_puts = False
         self.delays: dict[str, float] = {}
         self.error_on_cancel: Exception | None = None
+        self.calls: Counter[str] = Counter()
 
     def kill(self) -> None:
         self.killed = True
@@ -76,10 +92,7 @@ class FaultyShard:
         method = getattr(self._inner, name)
 
         async def guarded(*args: Any, **kwargs: Any) -> Any:
-            if self.killed:
-                raise ConnectionError("shard transport cut by test")
-            if self.fail_puts and name in ("put", "steg_put"):
-                raise NoSpaceError("shard volume full (injected)")
+            self.calls[name] += 1
             delay = self.delays.get(name, 0.0)
             if delay:
                 try:
@@ -88,6 +101,10 @@ class FaultyShard:
                     if self.error_on_cancel is not None:
                         raise self.error_on_cancel from None
                     raise
+            if self.killed:
+                raise ConnectionError("shard transport cut by test")
+            if self.fail_puts and name in ("put", "steg_put"):
+                raise NoSpaceError("shard volume full (injected)")
             return await method(*args, **kwargs)
 
         return guarded

@@ -1,7 +1,7 @@
 """Async data-plane edge cases: cancellation, failover, stragglers.
 
-The edges the benchmark never hits on purpose: a losing read leg
-that errors *after* the race is decided, a caller cancelled mid-fan-out,
+The edges the benchmark never hits on purpose: a hedged-over read leg
+that errors *after* the hedge won, a caller cancelled mid-fan-out,
 early-acked write legs still draining when the next same-key mutation
 arrives — plus round trips through both redundancy modes and the
 blocking facade.
@@ -22,7 +22,7 @@ from typing import Any, Awaitable, Callable
 
 import pytest
 
-from repro.cluster.aio import AsyncClusterClient, BlockingClusterClient
+from repro.cluster.aio import AsyncClusterClient, BlockingClusterClient, hidden_key
 from repro.cluster.fragment import MODE_IDA, decode_fragment
 from repro.errors import HiddenObjectNotFoundError
 
@@ -49,6 +49,8 @@ def _run(scenario: Callable[[], Awaitable[None]]) -> None:
 
 
 class TestFirstAckCancellation:
+    """A leg loses when a hedge launched over it answers first."""
+
     def test_losing_leg_error_after_loss_is_contained(self, shard_farm):
         async def scenario() -> None:
             shards = shard_farm(3)
@@ -57,18 +59,19 @@ class TestFirstAckCancellation:
             ) as cluster:
                 payload = b"race me" * 40
                 await cluster.steg_create("doc", UAK, data=payload)
-                # Two slow losers that refuse to die quietly: cancelling
-                # them mid-sleep surfaces a non-Repro error instead of
-                # CancelledError, after the winner already returned.
-                slow = list(shards)[:2]
+                # The two preferred replicas stall and refuse to die
+                # quietly: cancelling them mid-sleep surfaces a non-Repro
+                # error instead of CancelledError, after the second hedge
+                # (the one healthy replica) already won the read.
+                slow = cluster.placement(hidden_key("doc", UAK))[:2]
                 for shard_id in slow:
-                    shards[shard_id].delays["steg_read"] = 0.2
+                    shards[shard_id].delays["steg_read"] = 1.0
                     shards[shard_id].error_on_cancel = ValueError(
                         "late loser blew up"
                     )
                 assert await cluster.steg_read("doc", UAK) == payload
                 stats = cluster.stats
-                assert stats["async.first_ack_wins"] >= 1
+                assert stats["async.hedged_reads"] == 2
                 assert stats["async.cancelled_legs"] == 2
                 # The late errors were swallowed, not recorded as shard
                 # failures: everyone is still routable.
@@ -90,12 +93,13 @@ class TestFirstAckCancellation:
             ) as cluster:
                 payload = b"transport" * 30
                 await cluster.steg_create("doc", UAK, data=payload)
-                victim = list(shards)[0]
-                shards[victim].delays["steg_read"] = 0.2
+                victim = cluster.placement(hidden_key("doc", UAK))[0]
+                shards[victim].delays["steg_read"] = 1.0
                 shards[victim].error_on_cancel = ConnectionError(
                     "socket died during cancellation"
                 )
                 assert await cluster.steg_read("doc", UAK) == payload
+                assert cluster.stats["async.hedged_reads"] == 1
                 # The transport error from the cancelled leg went through
                 # the normal failover accounting rather than vanishing.
                 assert cluster.stats["async.failovers"] >= 1
@@ -183,9 +187,9 @@ class TestIdaMode:
                 payload = b"dispersed secret" * 25
                 await cluster.steg_create("doc", UAK, data=payload)
                 await cluster.flush()
-                # One share holder stalls; reconstruction must go early
-                # from the m fast shares and shed the slow leg.
-                slow = list(shards)[0]
+                # A first-wave share holder stalls; reconstruction must go
+                # early from m fast shares and shed the slow leg.
+                slow = cluster.placement(hidden_key("doc", UAK))[0]
                 shards[slow].delays["steg_read"] = 0.5
                 assert await cluster.steg_read("doc", UAK) == payload
                 stats = cluster.stats

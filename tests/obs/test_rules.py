@@ -187,8 +187,8 @@ class TestFlappingShard:
 class TestQuorumWidening:
     def test_fires_cluster_wide_on_sustained_rate(self):
         ring = ring_of(
-            entry(0.0, {"cluster.quorum_widenings": counter(0)}),
-            entry(10.0, {"cluster.quorum_widenings": counter(10)}),
+            entry(0.0, {"cluster.async.quorum_widenings": counter(0)}),
+            entry(10.0, {"cluster.async.quorum_widenings": counter(10)}),
         )
         rule = quorum_widening_rule(per_second=0.5, window_s=30.0)
         (firing,) = rule.check(view_of({}), {"s0": ring})
@@ -201,12 +201,32 @@ class TestQuorumWidening:
             entry(10.0, {"cluster.async.quorum_widenings": counter(10)}),
         )
         slow = ring_of(
-            entry(0.0, {"cluster.quorum_widenings": counter(0)}),
-            entry(10.0, {"cluster.quorum_widenings": counter(1)}),
+            entry(0.0, {"cluster.async.quorum_widenings": counter(0)}),
+            entry(10.0, {"cluster.async.quorum_widenings": counter(1)}),
         )
         rule = quorum_widening_rule(per_second=0.5, window_s=30.0)
         assert len(rule.check(view_of({}), {"s0": fast})) == 1
         assert rule.check(view_of({}), {"s0": slow}) == []
+
+    def test_hedges_over_a_merely_slow_shard_do_not_fire(self):
+        ring = ring_of(
+            entry(
+                0.0,
+                {
+                    "cluster.async.hedged_reads": counter(0),
+                    "cluster.async.quorum_widenings": counter(0),
+                },
+            ),
+            entry(
+                10.0,
+                {
+                    "cluster.async.hedged_reads": counter(100),
+                    "cluster.async.quorum_widenings": counter(0),
+                },
+            ),
+        )
+        rule = quorum_widening_rule(per_second=0.5, window_s=30.0)
+        assert rule.check(view_of({}), {"s0": ring}) == []
 
 
 class TestErrorBudget:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.bench import ablation
+from repro.bench.common import write_result
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +18,9 @@ def result():
     return ablation.run()
 
 
-def test_ablation_runs_and_renders(benchmark, result):
-    text = run_once(benchmark, lambda: ablation.render(result))
+def test_ablation_runs_and_renders(result):
+    text = ablation.render(result)
+    write_result("ablation", text)
     print("\n" + text)
 
 

@@ -11,13 +11,15 @@ Regenerates the full grid and asserts the paper's qualitative findings:
 
 from __future__ import annotations
 
-from conftest import run_once
 from repro.bench import fig6
+from repro.bench.common import write_result
 
 
-def test_fig6_grid(benchmark):
-    result = run_once(benchmark, lambda: fig6.run(trials=3))
-    print("\n" + fig6.render(result))
+def test_fig6_grid():
+    result = fig6.run(trials=3)
+    text = fig6.render(result)
+    write_result("fig6", text)
+    print("\n" + text)
 
     for block_kb in (0.5, 1, 2):
         peak_r, peak_util = result.peak(block_kb)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import run_once
 from repro.bench import fig9
+from repro.bench.common import write_result
 
 
 @pytest.fixture(scope="module")
@@ -18,18 +18,37 @@ def result():
     return fig9.run()
 
 
-def test_fig9_runs_and_renders(benchmark, result):
-    text = run_once(benchmark, lambda: fig9.render(result))
+def test_fig9_runs_and_renders(result):
+    text = fig9.render(result)
+    write_result("fig9", text)
     print("\n" + text)
 
 
 @pytest.mark.parametrize("op", ["read", "write"])
 def test_serial_ordering(result, op):
-    """CleanDisk < FragDisk < StegFS < StegCover at every block size."""
+    """CleanDisk < FragDisk < StegFS < StegCover at every block size.
+
+    The FragDisk < StegFS link is §5.4's seek-per-fragment versus
+    seek-per-block argument: FragDisk positions once for the inode and
+    once per 8-block fragment, StegFS once per sealed block (one more
+    than the file's native blocks, since a sealed block also carries its
+    nonce).  With n blocks per file that is 1 + ceil(n/8) against n + 1:
+    strictly ordered from n = 2, a tie at n = 1, which is the 64 KB point
+    of the default 1/16 scale (64 KB files; the paper's 1 MB files span
+    16 blocks there).  So the *read* panel asserts convergence at n = 1.
+    It is the StegFS side that moved: the open-object table keeps a warm
+    object's header and block map in core, so a read touches its data
+    blocks and nothing else, where the header read and the locator probes
+    used to keep StegFS above the tie.  Writes stay strictly ordered even
+    there, because a StegFS write also rewrites its header and map blocks.
+    """
     table = result.read_s if op == "read" else result.write_s
-    for i in range(len(result.block_sizes_kb)):
+    for i, block_kb in enumerate(result.block_sizes_kb):
         assert table["CleanDisk"][i] < table["FragDisk"][i]
-        assert table["FragDisk"][i] < table["StegFS"][i]
+        if op == "write" or result.blocks_per_file(block_kb) >= 2:
+            assert table["FragDisk"][i] < table["StegFS"][i]
+        else:
+            assert table["StegFS"][i] == pytest.approx(table["FragDisk"][i], rel=0.05)
         assert table["StegFS"][i] < table["StegCover"][i]
 
 
@@ -58,6 +77,7 @@ def test_gaps_compress_at_large_blocks(result):
 
 
 def test_stegrand_read_close_to_stegfs(result):
-    i = result.block_sizes_kb.index(1)
-    ratio = result.read_s["StegRand"][i] / result.read_s["StegFS"][i]
-    assert 0.8 <= ratio <= 1.6
+    """Both pay a seek per block, down to the one-block-per-file end."""
+    for i, block_kb in enumerate(result.block_sizes_kb):
+        ratio = result.read_s["StegRand"][i] / result.read_s["StegFS"][i]
+        assert 0.8 <= ratio <= 1.6, (block_kb, ratio)

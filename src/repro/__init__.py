@@ -16,9 +16,9 @@ Quick tour::
     steg.steg_create("secret.txt", uak, data=b"deniable")
     steg.steg_read("secret.txt", uak)
 
-See README.md for the architecture overview, DESIGN.md for the system
-inventory and per-experiment index, and ``python -m repro.bench`` for the
-paper's tables and figures.
+See README.md for the architecture overview and the package inventory,
+``python -m repro.bench`` for the paper's tables and figures, and
+``benchmarks/stegbench`` for the benchmark every change is judged by.
 """
 
 from repro import errors
@@ -63,7 +63,6 @@ from repro.storage import (
     DiskModel,
     DiskParameters,
     FileDevice,
-    LatencyDevice,
     RamDevice,
     SparseDevice,
     TraceRecordingDevice,
@@ -91,7 +90,6 @@ __all__ = [
     "HiddenDirectory",
     "HiddenFile",
     "HiddenKVStore",
-    "LatencyDevice",
     "MetricRegistry",
     "ObjectKeys",
     "RamDevice",

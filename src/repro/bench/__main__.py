@@ -4,38 +4,17 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench import (
-    ablation,
-    cluster_throughput,
-    detectability,
-    durability,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    net_throughput,
-    obs_overhead,
-    service_throughput,
-    space,
-    stream_path,
-    tables,
-)
+from repro.bench import ablation, fig6, fig7, fig8, fig9, space, tables
+from repro.bench.common import write_result
 
 _EXPERIMENTS = {
-    "tables": lambda: tables.render_all(),
+    "tables": tables.render_all,
     "fig6": lambda: fig6.render(fig6.run()),
     "fig7": lambda: fig7.render(fig7.run()),
     "fig8": lambda: fig8.render(fig8.run()),
     "fig9": lambda: fig9.render(fig9.run()),
     "space": lambda: space.render(space.run()),
     "ablation": lambda: ablation.render(ablation.run()),
-    "service": lambda: service_throughput.render(service_throughput.run()),
-    "net": lambda: net_throughput.render(net_throughput.run()),
-    "durability": lambda: durability.render(durability.run()),
-    "cluster": lambda: cluster_throughput.render(cluster_throughput.run()),
-    "obs": lambda: obs_overhead.render(obs_overhead.run()),
-    "stream": lambda: stream_path.render(stream_path.run()),
-    "detectability": lambda: detectability.render(detectability.run()),
 }
 
 
@@ -50,7 +29,9 @@ def main(argv: list[str]) -> int:
         print(f"available: all, {', '.join(_EXPERIMENTS)}", file=sys.stderr)
         return 2
     for target in targets:
-        print(_EXPERIMENTS[target]())
+        text = _EXPERIMENTS[target]()
+        write_result(target, text)
+        print(text)
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Ablations over the §3.1 design choices (our additions, indexed in
-DESIGN.md): what each deniability mechanism costs and buys.
+"""Ablations over the §3.1 design choices (our additions, not a paper
+figure): what each deniability mechanism costs and buys.
 
 * **Abandoned blocks** trade raw capacity for census-attack cover: sweep
   f_abandoned, report utilisation overhead and attacker precision.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.attacker import census_unaccounted, detection_report
 from repro.analysis.snapshot import SnapshotMonitor
-from repro.bench.common import format_table, write_result
+from repro.bench.common import format_table
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
 from repro.crypto.ida import disperse, reconstruct
@@ -164,8 +164,8 @@ def run(seed: int = 0) -> AblationResult:
 
 
 def render(result: AblationResult) -> str:
-    """Format all sweeps and persist them."""
-    text = "\n".join(
+    """Format all sweeps."""
+    return "\n".join(
         [
             format_table(
                 "Ablation — abandoned blocks (census attack)",
@@ -189,5 +189,3 @@ def render(result: AblationResult) -> str:
             ),
         ]
     )
-    write_result("ablations", text)
-    return text

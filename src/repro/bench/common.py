@@ -1,6 +1,6 @@
 """Shared machinery for the experiment drivers (one module per figure).
 
-Pipeline (DESIGN.md §5): build each Table 4 system over a trace-recording
+Pipeline: build each Table 4 system over a trace-recording
 sparse device → run the Table 3 workload through it for real → replay the
 recorded block traces through the calibrated disk model at each
 concurrency level.  Absolute times depend on the model calibration;
@@ -38,13 +38,23 @@ __all__ = [
     "collect_traces",
     "format_table",
     "prepared_system",
-    "results_dir",
     "write_result",
 ]
 
 ALL_SYSTEMS = ("CleanDisk", "FragDisk", "StegCover", "StegRand", "StegFS")
 
 DEFAULT_SCALE = 1 / 16
+
+# Experiment → its committed table under ``benchmarks/results/``.
+_RESULT_FILES = {
+    "tables": "tables_1_to_4",
+    "fig6": "fig6_stegrand_space",
+    "fig7": "fig7_concurrent_users",
+    "fig8": "fig8_file_size",
+    "fig9": "fig9_block_size",
+    "space": "space_utilization",
+    "ablation": "ablations",
+}
 
 
 def bench_scale() -> float:
@@ -170,16 +180,17 @@ def format_table(title: str, headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def results_dir() -> str:
-    """Directory where benches drop their formatted tables."""
-    path = os.environ.get("REPRO_BENCH_RESULTS", os.path.join("benchmarks", "results"))
-    os.makedirs(path, exist_ok=True)
-    return path
+def write_result(experiment: str, text: str) -> str:
+    """Persist one experiment's rendered table; returns the path.
 
-
-def write_result(name: str, text: str) -> str:
-    """Persist a result table; returns the path."""
-    path = os.path.join(results_dir(), f"{name}.txt")
+    Only the two entry points that run at the default scale on purpose call
+    this (``python -m repro.bench`` and the claim files under
+    ``benchmarks/``, both from the repo root); ``render`` never does, so
+    miniature runs inside the unit suite leave the work tree alone.
+    """
+    directory = os.path.join("benchmarks", "results")
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{_RESULT_FILES[experiment]}.txt")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     return path

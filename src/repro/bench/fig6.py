@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.bench.common import bench_scale, format_table, write_result
+from repro.bench.common import bench_scale, format_table
 from repro.workload.generator import KB, MB
 
 __all__ = ["Fig6Result", "simulate_capacity", "run", "render"]
@@ -130,10 +130,8 @@ def render(result: Fig6Result) -> str:
             [f"{block_kb:g} KB"]
             + [f"{u * 100:.2f}%" for u in result.utilization[block_kb]]
         )
-    text = format_table(
+    return format_table(
         f"Figure 6 — StegRand effective space utilization, scale={result.scale:g}",
         headers,
         rows,
     )
-    write_result("fig6_stegrand_space", text)
-    return text

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.common import (
-    ALL_SYSTEMS,
-    bench_scale,
-    format_table,
-    prepared_system,
-    write_result,
-)
+from repro.bench.common import ALL_SYSTEMS, bench_scale, format_table, prepared_system
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import replay_interleaved
 
@@ -72,7 +66,7 @@ def run(
 
 
 def render(result: Fig7Result) -> str:
-    """Format both panels as paper-shaped tables and persist them."""
+    """Format both panels as paper-shaped tables."""
     chunks = []
     for op, table in (("read", result.read_s), ("write", result.write_s)):
         headers = ["system"] + [f"{n} users" for n in result.users]
@@ -88,6 +82,4 @@ def render(result: Fig7Result) -> str:
                 rows,
             )
         )
-    text = "\n".join(chunks)
-    write_result("fig7_concurrent_users", text)
-    return text
+    return "\n".join(chunks)

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.common import (
-    ALL_SYSTEMS,
-    bench_scale,
-    format_table,
-    prepared_system,
-    write_result,
-)
+from repro.bench.common import ALL_SYSTEMS, bench_scale, format_table, prepared_system
 from repro.workload.generator import KB, WorkloadSpec
 from repro.workload.runner import replay_interleaved
 
@@ -81,7 +75,7 @@ def run(
 
 
 def render(result: Fig8Result) -> str:
-    """Format both panels and persist them."""
+    """Format both panels."""
     chunks = []
     for op, table in (
         ("read", result.read_s_per_kb),
@@ -100,6 +94,4 @@ def render(result: Fig8Result) -> str:
                 rows,
             )
         )
-    text = "\n".join(chunks)
-    write_result("fig8_file_size", text)
-    return text
+    return "\n".join(chunks)

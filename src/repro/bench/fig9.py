@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.common import (
-    ALL_SYSTEMS,
-    bench_scale,
-    format_table,
-    prepared_system,
-    write_result,
-)
+from repro.bench.common import ALL_SYSTEMS, bench_scale, format_table, prepared_system
 from repro.workload.generator import KB, MB, WorkloadSpec
 from repro.workload.runner import replay_serial
 
@@ -34,8 +28,13 @@ class Fig9Result:
 
     block_sizes_kb: tuple[float, ...]
     scale: float
+    file_size: int
     read_s: dict[str, list[float]] = field(default_factory=dict)
     write_s: dict[str, list[float]] = field(default_factory=dict)
+
+    def blocks_per_file(self, block_kb: float) -> int:
+        """How many native blocks one file spans at this block size."""
+        return -(-self.file_size // int(block_kb * KB))
 
 
 def run(
@@ -46,11 +45,11 @@ def run(
 ) -> Fig9Result:
     """Regenerate Figure 9's data points."""
     scale = bench_scale()
-    result = Fig9Result(block_sizes_kb=block_sizes_kb, scale=scale)
+    file_size = max(int(1 * MB * scale), 64 * KB)  # paper: 1 MB files
+    result = Fig9Result(block_sizes_kb=block_sizes_kb, scale=scale, file_size=file_size)
     for name in systems:
         result.read_s[name] = []
         result.write_s[name] = []
-    file_size = max(int(1 * MB * scale), 64 * KB)  # paper: 1 MB files
     volume = max(int(1024 * MB * scale), file_size * n_files * 4)
     for block_kb in block_sizes_kb:
         block_size = int(block_kb * KB)
@@ -76,7 +75,7 @@ def run(
 
 
 def render(result: Fig9Result) -> str:
-    """Format both panels and persist them."""
+    """Format both panels."""
     chunks = []
     for op, table in (("read", result.read_s), ("write", result.write_s)):
         headers = ["system"] + [f"{kb:g} KB" for kb in result.block_sizes_kb]
@@ -92,6 +91,4 @@ def render(result: Fig9Result) -> str:
                 rows,
             )
         )
-    text = "\n".join(chunks)
-    write_result("fig9_block_size", text)
-    return text
+    return "\n".join(chunks)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.baselines.stegcover import RECOMMENDED_COVERS, StegCoverStore
 from repro.baselines.stegfs_adapter import StegFSStore
-from repro.bench.common import bench_scale, format_table, write_result
+from repro.bench.common import bench_scale, format_table
 from repro.bench.fig6 import simulate_capacity
 from repro.core.params import StegFSParams
 from repro.errors import NoSpaceError
@@ -101,7 +101,7 @@ def run(seed: int = 0) -> SpaceResult:
 
 
 def render(result: SpaceResult) -> str:
-    """Format §5.2's comparison and persist it."""
+    """Format §5.2's comparison."""
     rows = [
         ["StegFS", f"{result.stegfs * 100:.1f}%", "> 80%"],
         ["StegCover", f"{result.stegcover * 100:.1f}%", "~ 75%"],
@@ -112,10 +112,8 @@ def render(result: SpaceResult) -> str:
             ">= 10x",
         ],
     ]
-    text = format_table(
+    return format_table(
         f"Section 5.2 — effective space utilization, scale={result.scale:g}",
         ["system", "measured", "paper"],
         rows,
     )
-    write_result("space_utilization", text)
-    return text

@@ -8,7 +8,7 @@ fails.
 
 from __future__ import annotations
 
-from repro.bench.common import ALL_SYSTEMS, format_table, write_result
+from repro.bench.common import ALL_SYSTEMS, format_table
 from repro.core.params import StegFSParams
 from repro.storage.disk_model import DiskParameters
 from repro.workload.generator import WorkloadSpec
@@ -43,7 +43,7 @@ def table1() -> str:
 
 
 def table2() -> str:
-    """Table 2 stand-in — disk model calibration (see DESIGN.md)."""
+    """Table 2 stand-in — disk model calibration (see ``docs/storage.md``)."""
     params = DiskParameters()
     rows = [
         ["seek (min..max)", f"{params.seek_min_ms:g}..{params.seek_max_ms:g} ms"],
@@ -83,7 +83,5 @@ def table4() -> str:
 
 
 def render_all() -> str:
-    """All four tables, persisted together."""
-    text = "\n".join([table1(), table2(), table3(), table4()])
-    write_result("tables_1_to_4", text)
-    return text
+    """All four tables as one text."""
+    return "\n".join([table1(), table2(), table3(), table4()])

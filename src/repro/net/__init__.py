@@ -30,8 +30,8 @@ and client side::
         client.steg_create("secret", data=b"deniable")
         assert client.steg_read("secret") == b"deniable"
 
-``benchmarks/bench_net_throughput.py`` measures ops/sec and latency
-percentiles against 1–32 concurrent client connections.
+stegbench's ``plain_wire`` and ``extent_wire`` workloads
+(``benchmarks/stegbench``) measure this tier.
 """
 
 from repro.net.client import AsyncStegFSClient, StegFSClient, fetch_hidden

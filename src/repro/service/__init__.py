@@ -18,9 +18,9 @@ through the shared op registry (:mod:`repro.service.registry`).
   subsystems (sharding, async front ends).
 
 Pair the service with a :class:`~repro.storage.cache.CachedDevice` under
-the volume so hot blocks skip the disk, and see
-``benchmarks/bench_service_throughput.py`` for the ops/sec-vs-clients
-measurement harness.
+the volume so hot blocks skip the disk; stegbench's ``hidden_small``
+workload (``benchmarks/stegbench``) measures this tier, lock wait and
+executor queue included.
 """
 
 from repro.service.aio import AsyncServiceFront

@@ -3,7 +3,7 @@
 The device layer is deliberately ignorant of files and keys — it is the
 "raw disk" the paper's adversary scours.  The disk model prices recorded
 block traces so performance experiments are deterministic and decoupled
-from functional correctness (see DESIGN.md §5).
+from functional correctness (see ``docs/storage.md``).
 """
 
 from repro.storage.allocator import (
@@ -17,7 +17,6 @@ from repro.storage.cache import CachedDevice, CacheStats
 from repro.storage.crash import CrashInjectionDevice
 from repro.storage.disk_model import DiskModel, DiskParameters
 from repro.storage.journal import Journal, RecoveryReport
-from repro.storage.latency import LatencyDevice
 from repro.storage.trace import BlockOp, Trace, TraceRecordingDevice
 from repro.storage.txn import JournaledDevice, JournalMetrics, Transaction, TransactionManager
 
@@ -36,7 +35,6 @@ __all__ = [
     "Journal",
     "JournaledDevice",
     "JournalMetrics",
-    "LatencyDevice",
     "RamDevice",
     "RandomAllocator",
     "RecoveryReport",

@@ -2,7 +2,7 @@
 
 :class:`CachedDevice` slots under any :class:`~repro.storage.block_device.
 BlockDevice` stack (a :class:`~repro.storage.block_device.FileDevice`, a
-:class:`~repro.storage.latency.LatencyDevice`, …) and absorbs repeated
+:class:`~repro.storage.crash.CrashInjectionDevice`, …) and absorbs repeated
 accesses to the same blocks:
 
 * **reads** are served from an LRU map when present (*hit*), otherwise
@@ -146,8 +146,8 @@ class CachedDevice(BlockDevice):
                 return data
             self._misses += 1
             _MISSES.inc()
-        # Fetch outside the lock: a slow backing device (LatencyDevice,
-        # FileDevice) must not stall other clients' cache hits.
+        # Fetch outside the lock: a slow backing device (a FileDevice on
+        # a real disk) must not stall other clients' cache hits.
         data = self._inner.read_block(index)
         with self._lock:
             raced = self._cache.get(index)

@@ -5,10 +5,7 @@ from repro.workload.live import (
     ClientResult,
     LiveRunResult,
     OpMix,
-    RemoteTarget,
-    ServiceTarget,
     populate_hidden_files,
-    run_client_loop,
     run_live_clients,
     run_remote_clients,
 )
@@ -26,16 +23,13 @@ __all__ = [
     "FileJob",
     "LiveRunResult",
     "OpMix",
-    "RemoteTarget",
     "RunResult",
-    "ServiceTarget",
     "Summary",
     "WorkloadSpec",
     "generate_jobs",
     "populate_hidden_files",
     "replay_interleaved",
     "replay_serial",
-    "run_client_loop",
     "run_live_clients",
     "run_remote_clients",
     "space_utilization",

@@ -4,8 +4,8 @@ Where :mod:`repro.workload.runner` *replays recorded traces* through the
 disk model (the Figure 7–9 methodology), this module drives a StegFS
 service with **real clients** issuing real operations — lock contention,
 GIL scheduling and device latency all happen for real.  It is the
-measurement engine of ``benchmarks/bench_service_throughput.py``,
-``benchmarks/bench_net_throughput.py`` and the concurrency stress tests.
+engine of the concurrency stress tests (``tests/service/test_stress.py``,
+``tests/net/test_remote_driver.py``).
 
 Two transports share one loop:
 
@@ -35,14 +35,9 @@ from repro.service.service import StegFSService
 
 __all__ = [
     "ClientResult",
-    "ClientTarget",
     "LiveRunResult",
     "OpMix",
-    "RemoteTarget",
-    "ServiceTarget",
-    "build_client_ops",
     "populate_hidden_files",
-    "run_client_loop",
     "run_live_clients",
     "run_remote_clients",
 ]
@@ -80,7 +75,7 @@ class OpMix:
 
     @classmethod
     def read_heavy(cls) -> "OpMix":
-        """The §5.3-style mix the throughput benches default to."""
+        """The §5.3-style mix the drivers default to."""
         return cls(read=0.9, write=0.1)
 
 
@@ -248,8 +243,8 @@ def run_client_loop(
 ) -> ClientResult:
     """Run one client's deterministic op loop; returns its counters.
 
-    Transport-neutral: the same loop drives in-process services, remote
-    sockets, and (via multiprocessing) the net-throughput bench workers.
+    Transport-neutral: the same loop drives in-process services and
+    remote sockets.
     """
     rng = random.Random((seed << 16) ^ index)
     ops = build_client_ops(target, names, rng, payload_size, index)

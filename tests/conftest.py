@@ -8,7 +8,7 @@ import pytest
 
 
 def pytest_configure(config):
-    """Register suite-local markers (no pytest.ini in this repo)."""
+    """Register suite-local markers (no pytest.ini at the repo root)."""
     config.addinivalue_line(
         "markers",
         "slow: multi-process / network-heavy tests "

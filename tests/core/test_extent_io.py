@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import random
+from unittest.mock import Mock
 
 import pytest
 
 from repro.core import blockio
 from repro.core.hidden_file import HiddenFile
 from repro.core.keys import ObjectKeys
+from repro.core.params import StegFSParams
+from repro.core.volume import HiddenVolume
 from repro.errors import StegFSError
+from repro.storage.bitmap import Bitmap
+from repro.storage.block_device import RamDevice
 
 KEY = b"K" * 32
 
@@ -172,6 +177,82 @@ class TestWriteExtent:
                 ref[probe_at : probe_at + probe_len]
             )
         assert hidden.read() == bytes(ref)
+
+
+class CountingRamDevice(RamDevice):
+    """RamDevice that logs every read it is asked for, single or batched."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.single_reads: list[int] = []
+        self.batch_reads: list[list[int]] = []
+
+    def read_block(self, index):
+        self.single_reads.append(index)
+        return super().read_block(index)
+
+    def read_blocks(self, indices):
+        indices = list(indices)
+        self.batch_reads.append(indices)
+        return super().read_blocks(indices)
+
+
+class TestWholeObjectReadIsOneBatch:
+    """The batching claim as counts: no data block is ever fetched or
+    decrypted on its own, however many the object has."""
+
+    N_BLOCKS = 12
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        device = CountingRamDevice(block_size=256, total_blocks=1024)
+        device.fill_random(random.Random(9))
+        volume = HiddenVolume(
+            device=device,
+            bitmap=Bitmap(1024),
+            params=StegFSParams.for_tests(),
+            rng=random.Random(1),
+        )
+        data = random.Random(2).randbytes(self.N_BLOCKS * room_of(volume))
+        hidden = HiddenFile.create(volume, make_keys("count"), data=data)
+        kernels = {
+            name: Mock(wraps=getattr(blockio, name))
+            for name in ("ctr_xor", "ctr_xor_many", "ctr_xor_concat")
+        }
+        for name, spy in kernels.items():
+            monkeypatch.setattr(blockio, name, spy)
+        device.single_reads.clear()
+        device.batch_reads.clear()
+        return volume, hidden, data, kernels
+
+    def test_warm_read_is_one_device_batch_and_one_ctr_batch(self, counted):
+        volume, hidden, data, kernels = counted
+        data_blocks = hidden.footprint()["data"]
+        assert len(data_blocks) == self.N_BLOCKS
+        assert hidden.read() == data
+        # One scatter-gather call carrying exactly the data blocks, in file
+        # order; a device serves it as one request per contiguous run
+        # (``iter_runs``), which is what stegbench counts as
+        # ``storage.device_requests_per_op``.
+        assert volume.device.batch_reads == [data_blocks]
+        assert volume.device.single_reads == []
+        assert {name: spy.call_count for name, spy in kernels.items()} == {
+            "ctr_xor": 0,
+            "ctr_xor_many": 0,
+            "ctr_xor_concat": 1,
+        }
+
+    def test_cold_read_adds_only_header_and_chain_lookups(self, counted):
+        volume, hidden, data, kernels = counted
+        footprint = hidden.footprint()
+        volume.objects.discard(hidden)
+        assert HiddenFile.open(volume, make_keys("count")).read() == data
+        # Finding the object costs single-block probes (header, then the
+        # inode chain); the data still moves as the one batch.
+        assert volume.device.batch_reads == [footprint["data"]]
+        assert set(footprint["header"] + footprint["inode"]) <= set(volume.device.single_reads)
+        assert not set(footprint["data"]) & set(volume.device.single_reads)
+        assert kernels["ctr_xor_concat"].call_count == 1
 
 
 class TestFacadeExtents:

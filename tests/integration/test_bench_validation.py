@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.baselines.stegrand import StegRandStore
-from repro.bench import ablation, fig6, fig7, space, tables
+from repro.bench import ablation, fig6, fig7, fig8, fig9, space, tables
 from repro.bench.fig6 import simulate_capacity
 from repro.storage.block_device import RamDevice
 from repro.workload.generator import WorkloadSpec
@@ -120,3 +120,30 @@ class TestMiniatureDrivers:
         assert result.stegfs_vs_stegrand == pytest.approx(16.0)
         degenerate = space.SpaceResult(stegfs=0.8, stegcover=0.7, stegrand=0.0, scale=1.0)
         assert degenerate.stegfs_vs_stegrand == float("inf")
+
+
+def test_render_is_pure(tmp_path, monkeypatch):
+    """Running and rendering writes nothing: only ``python -m repro.bench``
+    and the claim files under ``benchmarks/`` persist tables, so this suite
+    cannot overwrite the committed ones with miniatures."""
+    monkeypatch.chdir(tmp_path)
+    series = {"StegFS": [1.0]}
+    texts = [
+        fig6.render(fig6.run(replications=(1, 4), block_sizes_kb=(1.0,), trials=1)),
+        fig7.render(fig7.Fig7Result(users=(1,), scale=1.0, read_s=series, write_s=series)),
+        fig8.render(
+            fig8.Fig8Result(
+                sizes_kb=(200,), users=8, scale=1.0, read_s_per_kb=series, write_s_per_kb=series
+            )
+        ),
+        fig9.render(
+            fig9.Fig9Result(
+                block_sizes_kb=(1.0,), scale=1.0, file_size=65536, read_s=series, write_s=series
+            )
+        ),
+        space.render(space.SpaceResult(stegfs=0.8, stegcover=0.7, stegrand=0.05, scale=1.0)),
+        ablation.render(ablation.AblationResult(ida_rows=ablation.sweep_ida(seed=1))),
+        tables.render_all(),
+    ]
+    assert all(texts)
+    assert list(tmp_path.iterdir()) == []

@@ -11,8 +11,10 @@ error and never half-applies a write.
 from __future__ import annotations
 
 import asyncio
+import random
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
@@ -123,6 +125,43 @@ class TestStreamedExtents:
         whole, part = asyncio.run(scenario())
         assert whole == payload
         assert part == payload[100 : 100 + 5 * SMALL_FRAME]
+
+
+def test_streamed_read_peak_allocation_is_bounded_by_the_frame(service):
+    """Consuming a 1 MiB object piece by piece holds a few frames, never
+    the object: the streaming path's memory claim as an absolute bound.
+
+    Tracing starts once the first piece is in hand.  The server shares
+    this process and has unsealed the object by then, so what is traced is
+    the wire path alone — the server framing views of that buffer, the
+    client handing out pieces.  Reassembling the object anywhere on that
+    path would cost 16 frames; measured, it is 2.
+    """
+    frame = 64 * 1024
+    payload = random.Random(7).randbytes(1 << 20)
+    expected = memoryview(payload)
+    handle = start_in_thread(service, credentials={USER: UAK}, max_frame=frame)
+    try:
+        with StegFSClient(*handle.address, max_frame=frame) as c:
+            c.login(USER, UAK)
+            c.steg_create("mib", data=payload)
+            stream = c.steg_read_stream("mib")
+            first = next(stream)
+            assert first == expected[: len(first)]
+            received = len(first)
+            tracemalloc.start()
+            try:
+                for piece in stream:
+                    assert len(piece) <= frame
+                    assert piece == expected[received : received + len(piece)]
+                    received += len(piece)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    finally:
+        handle.stop()
+    assert received == len(payload)
+    assert peak <= 4 * frame
 
 
 class KillSwitchProxy:

@@ -1,4 +1,4 @@
-"""Scatter-gather block I/O: runs, devices, cache, latency, traces."""
+"""Scatter-gather block I/O: runs, devices, cache, traces."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.storage.block_device import (
     iter_runs,
 )
 from repro.storage.cache import CachedDevice
-from repro.storage.latency import LatencyDevice
 from repro.storage.trace import TraceRecordingDevice
 
 BS = 32
@@ -302,26 +301,6 @@ class TestCachedDeviceBatch:
         for base in (0, 64, 128):
             for i in range(8):
                 assert inner.read_block(base + i) == cached.read_block(base + i)
-
-
-class TestLatencyDeviceBatch:
-    def test_batch_priced_like_loop(self):
-        loop_dev = LatencyDevice(RamDevice(BS, 256), time_scale=0)
-        batch_dev = LatencyDevice(RamDevice(BS, 256), time_scale=0)
-        indices = [5, 6, 7, 100, 101, 3]
-        for i in indices:
-            loop_dev.read_block(i)
-        batch_dev.read_blocks(indices)
-        assert batch_dev.busy_ms == pytest.approx(loop_dev.busy_ms)
-
-    def test_batch_write_priced_and_applied(self, rng):
-        inner = RamDevice(BS, 256)
-        dev = LatencyDevice(inner, time_scale=0)
-        items = [(i, rng.randbytes(BS)) for i in (1, 2, 3, 50)]
-        dev.write_blocks(items)
-        assert dev.busy_ms > 0
-        for index, data in items:
-            assert inner.read_block(index) == data
 
 
 class TestTraceRecordingBatch:

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 import repro.cluster
+import repro.storage
 
 
 @pytest.mark.parametrize("package", [repro, repro.cluster], ids=lambda m: m.__name__)
@@ -23,3 +24,23 @@ def test_threaded_cluster_plane_is_gone():
     for name in ("ClusterClient", "RemoteShard", "ServiceShard", "ShardBackend"):
         assert not hasattr(repro, name)
         assert not hasattr(repro.cluster, name)
+
+
+def test_retired_measurement_estate_is_gone():
+    for module in (
+        "batch_io",
+        "stream_path",
+        "durability",
+        "service_throughput",
+        "net_throughput",
+        "cluster_throughput",
+        "obs_overhead",
+        "collector_overhead",
+        "detectability",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.bench.{module}")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.storage.latency")
+    assert not hasattr(repro, "LatencyDevice")
+    assert not hasattr(repro.storage, "LatencyDevice")

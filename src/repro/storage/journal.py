@@ -5,9 +5,11 @@ data region, see :mod:`repro.fs.layout`) for a **physical redo journal**.
 Every transaction the stack commits (see :mod:`repro.storage.txn`) first
 lands here as one checksummed, sequence-numbered record carrying the full
 images of every block the transaction writes; only after the record is
-durable may the blocks be written in place.  A crash at *any* point then
-leaves the volume recoverable: on mount, :meth:`Journal.recover` redo-replays
-every intact record and discards the torn tail.
+durable may the blocks be written in place — which the transaction manager
+does not do at once but in address-ordered write-back sweeps, the last of
+them at the checkpoint that retires the record.  A crash at *any* point
+then leaves the volume recoverable: on mount, :meth:`Journal.recover`
+redo-replays every intact record and discards the torn tail.
 
 On-disk format
 --------------

@@ -2,18 +2,19 @@
 
 Every mutation path in the stack (plain metadata, hidden files, dummies)
 runs inside a :class:`Transaction`: block writes are *staged* in memory and
-reach the device only at commit, as one journal record followed by the
-in-place writes.  Three pieces cooperate:
+reach the device only at commit, as one journal record; the in-place
+writes follow later, in address-ordered sweeps.  Three pieces cooperate:
 
 * :class:`Transaction` — an ordered ``index → image`` staging buffer with
   read-your-writes semantics (later stages of one operation see earlier
   ones, e.g. two inodes patched into the same table block).
-* :class:`TransactionManager` — owns the journal, the **unapplied overlay**
-  (committed images whose journal record is not yet durable, so they must
-  not be written in place yet), and the **group-commit** fsync protocol:
-  the first waiter becomes leader, flushes the device once, and that single
-  fsync acknowledges every record appended before it.  Checkpoints retire
-  the journal once its in-place writes are durable.
+* :class:`TransactionManager` — owns the journal, the **overlay**
+  (committed images not yet written in place, where every read resolves
+  them), the **group-commit** fsync protocol — the first waiter becomes
+  leader, flushes the device once, and that single fsync acknowledges
+  every record appended before it — and the **write-back** of durable
+  overlay images.  Checkpoints retire the journal once its in-place writes
+  are durable.
 * :class:`JournaledDevice` — a :class:`~repro.storage.block_device.
   BlockDevice` adapter the file-system layers talk to: writes issued inside
   a transaction scope are staged; reads resolve active-transaction staging,
@@ -22,11 +23,20 @@ in-place writes.  Three pieces cooperate:
 
 Commit ordering (the WAL invariant)::
 
-    stage → journal append → [fsync] → in-place apply → … → checkpoint
+    stage → journal append → [fsync] → ack → … → write-back sweep → …
+        → checkpoint: sweep the rest, fsync, header reset, fsync
 
-In-place images are applied only once their record is durable, so a crash
-can never leave a half-applied multi-block mutation: either the record is
-intact on disk (replay redoes the writes) or the mutation never happened.
+An image reaches its home block only once its record is durable, so a
+crash can never leave a half-applied multi-block mutation: either the
+record is intact on disk (replay redoes the writes) or the mutation never
+happened.  Durable images are not written after every commit: they wait in
+the overlay until :data:`WRITE_BACK_BATCH` of them are pending — or a
+quarter of the log, if that is less — and the fsync leader then writes
+them in one ascending sweep (an elevator pass: short seeks, neighbouring
+blocks merged into one request, a block committed several times while
+pending written once).  Every overlay image has a copy in the live log, so
+the overlay never outgrows the journal's record area, and a checkpoint
+empties both.
 
 Oversized transactions (a record bigger than the whole journal) fall back
 to a **bypass commit**: checkpoint, write in place, flush.  That keeps huge
@@ -57,6 +67,14 @@ __all__ = [
 
 #: Group-commit batch sizes kept for percentile estimation.
 _BATCH_RESERVOIR = 1024
+
+#: Overlay images at which a group fsync is followed by a write-back sweep.
+#: Large enough that a sweep's seeks are short and its neighbours merge,
+#: small enough to bound both the stall of the commit that pays for it and
+#: the in-place traffic that can slide past a measurement window's ends.
+#: On a log too small to hold four such batches the bound is a quarter of
+#: the log instead (see :meth:`TransactionManager._write_back_due`).
+WRITE_BACK_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -200,7 +218,7 @@ class TransactionManager:
 
     Transaction scopes are re-entrant but not concurrent: the caller
     serialises mutations (the service layer's exclusive volume lock, or
-    single-threaded use).  ``wait_durable`` and overlay application are
+    single-threaded use).  ``wait_durable`` and overlay write-back are
     safe from any thread.
     """
 
@@ -218,16 +236,18 @@ class TransactionManager:
         self._depth = 0
         self._abort_hooks: list[Callable[[], None]] = []
         self._last_commit_seq = 0
-        # Committed-but-not-durable images, index → (seq, image).  Reads
-        # resolve through this until the in-place write happens.
+        # Committed images not yet in place, index → (seq, image).  Reads
+        # resolve through this until the in-place write has landed.
         self._overlay: dict[int, tuple[int, bytes]] = {}
         self._overlay_lock = threading.Lock()
-        # Serialises in-place application (leaders and checkpoints): two
-        # concurrent appliers could otherwise write a stale snapshot over
-        # a newer image after its overlay entry was already retired.
-        self._apply_lock = threading.Lock()
+        # Serialises write-back (leaders and checkpoints): two concurrent
+        # sweeps could otherwise write a stale snapshot over a newer image
+        # after its overlay entry was already retired.
+        self._write_back_lock = threading.Lock()
         self._sync_cond = threading.Condition()
-        self._durable_seq = 0
+        # Records a journal carries when it is handed over were read from
+        # the device, so they are durable.
+        self._durable_seq = journal.last_seq if journal is not None else 0
         self._sync_in_flight = False
 
     # ------------------------------------------------------------------
@@ -311,7 +331,18 @@ class TransactionManager:
                 return staged
         with self._overlay_lock:
             entry = self._overlay.get(index)
-        return entry[1] if entry is not None else None
+        if entry is None:
+            return None
+        get_registry().counter("journal.overlay.read_hits").inc()
+        return entry[1]
+
+    def pending_images(self) -> dict[int, bytes]:
+        """Every image not yet in place: active staging over the overlay."""
+        with self._overlay_lock:
+            pending = {index: entry[1] for index, entry in self._overlay.items()}
+        if self._active is not None:
+            pending.update(self._active.writes())
+        return pending
 
     def stage(self, index: int, data: bytes) -> bool:
         """Stage into the active transaction; False if no scope is open."""
@@ -353,8 +384,11 @@ class TransactionManager:
                 self.checkpoint()
             seq = self._journal.append(writes)
             with self._overlay_lock:
+                before = len(self._overlay)
                 for index, image in writes:
                     self._overlay[index] = (seq, image)
+                grown = len(self._overlay) - before
+            get_registry().gauge("journal.overlay.blocks").add(grown)
             self._last_commit_seq = seq
             self.stats.note_commit(len(writes))
             if self.sync_on_commit:
@@ -369,6 +403,9 @@ class TransactionManager:
         device once, and publishes durability for everything appended
         before the flush.  Threads arriving meanwhile wait on the shared
         condition — their records ride the in-flight (or the next) fsync.
+        A leader that finds a batch of images in the overlay (all durable
+        now, but for commits that raced its flush) pays for their
+        write-back sweep before it returns.
         """
         if self._journal is None or seq <= 0:
             return
@@ -396,37 +433,55 @@ class TransactionManager:
                         self.stats.note_fsync(batch=target - already)
                         self._durable_seq = target
                     self._sync_cond.notify_all()
-            self._apply_durable()
+            if self._write_back_due():
+                self._write_back()
             if target >= seq:
                 return
 
-    def _apply_durable(self) -> None:
-        """Write overlay images whose records are durable in place.
+    def _write_back_due(self) -> bool:
+        """Whether the overlay holds a sweep's worth of images.
+
+        A batch is :data:`WRITE_BACK_BATCH` images, and never more than a
+        quarter of the record area (rounded up): a bound the log cannot
+        reach bounds nothing — the sweep would be the checkpoint, and a
+        whole log of in-place traffic, and which recently written objects
+        a read still finds in RAM, would hang on where the log fills fall.
+        """
+        quarter_log = -(-self._journal.capacity_blocks // 4)
+        return len(self._overlay) >= min(WRITE_BACK_BATCH, quarter_log)
+
+    def _write_back(self) -> None:
+        """Write every durable overlay image in place, in one ascending sweep.
 
         Concurrent readers keep resolving through the overlay until an
         entry is removed, and removal only happens after its image landed,
-        so both paths observe identical bytes.  ``_apply_lock`` serialises
-        appliers end to end: without it, one applier could stall between
-        snapshot and write, then clobber a *newer* image another applier
-        already wrote and retired.
+        so both paths observe identical bytes.  An entry a newer commit
+        replaced meanwhile stays: its image is not the one that landed.
+        ``_write_back_lock`` serialises sweeps end to end: without it, one
+        could stall between snapshot and write, then clobber a *newer*
+        image another already wrote and retired.
         """
-        with self._apply_lock:
+        with self._write_back_lock:
             with self._overlay_lock:
                 durable = self._durable_seq
-                ready = [
-                    (index, entry[1])
-                    for index, entry in self._overlay.items()
-                    if entry[0] <= durable
-                ]
+                # Ascending block order: one pass of the disk arm.
+                ready = sorted(
+                    item for item in self._overlay.items() if item[1][0] <= durable
+                )
             if not ready:
                 return
-            ready.sort()  # ascending block order: one sweep of the disk arm
-            self._device.write_blocks(ready)
+            with maybe_span("journal.writeback", blocks=len(ready)):
+                self._device.write_blocks([(index, entry[1]) for index, entry in ready])
             with self._overlay_lock:
-                for index, image in ready:
-                    entry = self._overlay.get(index)
-                    if entry is not None and entry[0] <= durable:
+                before = len(self._overlay)
+                for index, entry in ready:
+                    if self._overlay.get(index) is entry:
                         del self._overlay[index]
+                retired = before - len(self._overlay)
+            registry = get_registry()
+            registry.counter("journal.writeback.sweeps").inc()
+            registry.counter("journal.writeback.blocks").inc(len(ready))
+            registry.gauge("journal.overlay.blocks").add(-retired)
 
     # ------------------------------------------------------------------
     # checkpoint / flush
@@ -435,9 +490,10 @@ class TransactionManager:
     def checkpoint(self) -> None:
         """Retire the journal: make everything durable, reset the log.
 
-        Sequence: fsync (records durable) → apply every overlay image →
-        fsync (in-place durable) → header reset (flushed).  After this the
-        record area is empty and its space is reusable.
+        Sequence: fsync (records durable; skipped when they all are) →
+        write back every overlay image → fsync (in-place durable) → header
+        reset (flushed).  After this the record area is empty and its
+        space is reusable.
         """
         if self._journal is None:
             self._device.flush()
@@ -452,23 +508,18 @@ class TransactionManager:
             self._sync_in_flight = True
         try:
             with maybe_span("journal.checkpoint"):
-                self._device.flush()
-                with self._apply_lock:
-                    with self._overlay_lock:
-                        last = self._journal.last_seq
-                        ready = [
-                            (index, entry[1])
-                            for index, entry in self._overlay.items()
-                        ]
-                        self._overlay.clear()
-                    if ready:
-                        self._device.write_blocks(sorted(ready))
+                # No commit can race a checkpoint (the caller serialises
+                # mutations), so once the tail is durable every overlay
+                # image is, and one sweep empties the overlay.
+                last = self._journal.last_seq
+                if self._durable_seq < last:
+                    self._device.flush()
+                    with self._sync_cond:
+                        self._durable_seq = last
+                self._write_back()
                 self._device.flush()
                 self._journal.reset()
                 self.stats.note_checkpoint()
-            with self._sync_cond:
-                if last > self._durable_seq:
-                    self._durable_seq = last
         finally:
             with self._sync_cond:
                 self._sync_in_flight = False
@@ -484,8 +535,8 @@ class JournaledDevice(BlockDevice):
 
     Upper layers (the plain file system, the hidden layer) are handed this
     device; inside a transaction scope their writes are staged, and their
-    reads observe staged and committed-but-unapplied images.  Outside a
-    scope it behaves exactly like the backing device.
+    reads observe staged and committed-but-not-yet-in-place images.
+    Outside a scope it behaves exactly like the backing device.
     """
 
     def __init__(self, backing: BlockDevice, manager: TransactionManager) -> None:
@@ -550,14 +601,10 @@ class JournaledDevice(BlockDevice):
 
     def image(self) -> bytes:
         """Logical image: backing bytes patched with every pending write."""
+        # Pending first: an image retired in between has landed by then.
+        pending = self._manager.pending_images()
         raw = bytearray(self._backing.image())
         bs = self._block_size
-        with self._manager._overlay_lock:
-            pending = {
-                index: entry[1] for index, entry in self._manager._overlay.items()
-            }
-        if self._manager._active is not None:
-            pending.update(dict(self._manager._active.writes()))
         for index, data in pending.items():
             raw[index * bs : (index + 1) * bs] = data
         return bytes(raw)

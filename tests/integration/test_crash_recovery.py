@@ -16,6 +16,12 @@ the journal cleanly, and
 The sweep replays an identical deterministic workload from one shared
 durable base image, cutting at a different write each run.  The tier-1
 test samples cut points; the ``slow``-marked test covers every single one.
+
+That workload runs on the default 32-block log, which no write-back sweep
+fits inside; :class:`TestCrashAcrossWriteBack` repeats the property on a
+longer script whose every write — inside a sweep, between a sweep and the
+next commit, between a checkpoint's two barriers, after the header reset —
+is a cut point.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import pytest
 from repro.core.params import StegFSParams
 from repro.core.stegfs import StegFS
 from repro.errors import HiddenObjectNotFoundError, PowerCutError
+from repro.obs.metrics import get_registry
 from repro.storage.block_device import RamDevice
 from repro.storage.crash import CrashInjectionDevice
 
@@ -125,21 +132,39 @@ def _workload() -> list[Op]:
     ]
 
 
-@pytest.fixture(scope="module")
-def base_image() -> bytes:
-    """One durable mkfs image every sweep run starts from."""
+@dataclass(frozen=True)
+class Scenario:
+    """A durable starting image, what it holds, and the script run on it."""
+
+    image: bytes
+    start: Model
+    ops: list[Op]
+
+
+def _scenario(ops: list[Op], setup: list[Op] = (), **mkfs_kwargs) -> Scenario:
+    """mkfs, run ``setup``, checkpoint: every sweep run starts from that."""
     device = CrashInjectionDevice(BS, TOTAL, seed=0)
     steg = StegFS.mkfs(
         device,
         params=StegFSParams.for_tests(),
         inode_count=64,
         rng=random.Random(MKFS_SEED),
+        **mkfs_kwargs,
     )
+    model = Model()
+    for op in setup:
+        op.apply(steg, model)
     steg.fs.device.flush()  # checkpoint: everything durable
-    return device.durable_image()
+    return Scenario(device.durable_image(), model, ops)
 
 
-def _run_to_cut(base_image: bytes, cut: int | None) -> tuple[
+@pytest.fixture(scope="module")
+def base_image() -> Scenario:
+    """One durable mkfs image every sweep run starts from."""
+    return _scenario(_workload())
+
+
+def _run_to_cut(base_image: Scenario, cut: int | None) -> tuple[
     CrashInjectionDevice, Model, Model, Op | None
 ]:
     """Replay the workload, cutting power at write ``cut`` (None: never).
@@ -150,14 +175,14 @@ def _run_to_cut(base_image: bytes, cut: int | None) -> tuple[
     operation (None op → the workload completed).
     """
     device = CrashInjectionDevice.from_image(
-        base_image, BS, torn_writes=True, seed=(cut or 0) * 1337 + 11
+        base_image.image, BS, torn_writes=True, seed=(cut or 0) * 1337 + 11
     )
     steg = StegFS.mount(
         device, params=StegFSParams.for_tests(), rng=random.Random(MOUNT_SEED)
     )
     device.arm(cut)
-    model = Model()
-    for op in _workload():
+    model = base_image.start.copy()
+    for op in base_image.ops:
         pre = model.copy()
         try:
             op.apply(steg, model)
@@ -223,7 +248,7 @@ def _verify(steg: StegFS, model: Model, in_flight: Op | None, pre: Model) -> Non
     steg.fs.unaccounted_blocks()
 
 
-def _sweep(base_image: bytes, cut_points: list[int]) -> int:
+def _sweep(base_image: Scenario, cut_points: list[int]) -> int:
     torn_tails = 0
     for cut in cut_points:
         device, model, pre, in_flight = _run_to_cut(base_image, cut)
@@ -233,6 +258,21 @@ def _sweep(base_image: bytes, cut_points: list[int]) -> int:
             torn_tails += 1
         _verify(recovered, model, in_flight, pre)
     return torn_tails
+
+
+def _double_replay(base_image: Scenario, cut: int) -> None:
+    device, model, pre, in_flight = _run_to_cut(base_image, cut)
+    twin = device.reincarnate(subset_seed=5)
+    first = StegFS.mount(twin, params=StegFSParams.for_tests(), rng=random.Random(1))
+    _verify(first, model, in_flight, pre)
+    # Mount the very same device again: recovery already reset the
+    # journal, so the second pass replays nothing and changes nothing.
+    data = BS * first.fs.layout.data_start
+    image = twin.image()
+    again = StegFS.mount(twin, params=StegFSParams.for_tests(), rng=random.Random(2))
+    assert again.last_recovery is not None and again.last_recovery.records_replayed == 0
+    assert twin.image()[data:] == image[data:]
+    _verify(again, model, in_flight, pre)
 
 
 @pytest.fixture(scope="module")
@@ -261,20 +301,71 @@ class TestCrashRecoveryProperty:
         assert torn >= 1
 
     def test_double_replay_after_crash_is_idempotent(self, base_image, total_writes):
-        cut = total_writes // 2
-        device, model, pre, in_flight = _run_to_cut(base_image, cut)
-        twin = device.reincarnate(subset_seed=5)
-        first = StegFS.mount(
-            twin, params=StegFSParams.for_tests(), rng=random.Random(1)
+        _double_replay(base_image, total_writes // 2)
+
+
+#: The log size for the class below: 48 record blocks, so the write-back
+#: batch is a quarter of that, 12 images, and a two-dozen-op script crosses
+#: several sweeps *and* several log fills, with more than one commit per
+#: sweep and more than one sweep per log, as on a real volume.
+SWEEP_JOURNAL_BLOCKS = 50
+
+#: Already in the base image, so that no run pays the locator walk that
+#: proves the UAK directory absent (0.4 s of pure-Python SHA-256 per cut).
+_SEEDED = [Op("create h-seed", "hidden", "seed", _payload(20, 500))]
+
+
+def _write_back_workload() -> list[Op]:
+    return _workload() + [
+        Op("rewrite h-seed", "hidden", "seed", _payload(21, 1900)),
+        Op("create /data", "plain", "/data", _payload(22, 2600)),
+        Op("rewrite h-gamma", "hidden", "gamma", _payload(23, 400)),
+        Op("extent h-seed", "hidden-extent", "seed", _payload(24, 1200)),
+        Op("dummy churn", "dummy", ""),
+        Op("rewrite /log", "plain", "/log", _payload(25, 500)),
+        Op("create h-delta", "hidden", "delta", _payload(26, 2300)),
+        Op("delete h-beta", "hidden-delete", "beta"),
+        Op("rewrite /data", "plain", "/data", _payload(27, 1100)),
+        Op("rewrite h-delta", "hidden", "delta", _payload(28, 900)),
+        Op("rewrite /cfg", "plain", "/cfg", _payload(29, 1500)),
+        Op("extent h-gamma", "hidden-extent", "gamma", _payload(30, 800)),
+    ]
+
+
+class TestCrashAcrossWriteBack:
+    """The property again, where bounded write-back and two-barrier
+    checkpoints actually run: every device write of a script that crosses
+    at least three sweeps at the bound and two checkpoints is a cut."""
+
+    @pytest.fixture(scope="class")
+    def seeded(self) -> Scenario:
+        return _scenario(
+            _write_back_workload(), _SEEDED, journal_blocks=SWEEP_JOURNAL_BLOCKS
         )
-        _verify(first, model, in_flight, pre)
-        # Mount the very same device again: recovery already reset the
-        # journal, so the second pass replays nothing and changes nothing.
-        again = StegFS.mount(
-            twin, params=StegFSParams.for_tests(), rng=random.Random(2)
+
+    @pytest.fixture(scope="class")
+    def writes(self, seeded) -> int:
+        counters = [
+            get_registry().counter(f"journal.{name}")
+            for name in ("writeback.sweeps", "checkpoints", "bypass_commits")
+        ]
+        before = [counter.value for counter in counters]
+        device, _model, _pre, in_flight = _run_to_cut(seeded, None)
+        assert in_flight is None
+        sweeps, checkpoints, bypasses = (
+            counter.value - was for counter, was in zip(counters, before)
         )
-        assert again.last_recovery is not None and again.last_recovery.clean
-        _verify(again, model, in_flight, pre)
+        assert bypasses == 0
+        assert checkpoints >= 2
+        assert sweeps - checkpoints >= 3  # a checkpoint's sweep counts as one
+        return device.write_count
+
+    def test_every_write_is_a_recoverable_cut(self, seeded, writes):
+        assert _sweep(seeded, list(range(1, writes + 1))) >= 1  # torn tails seen
+
+    def test_double_replay_is_idempotent(self, seeded, writes):
+        for cut in range(7, writes, writes // 6):
+            _double_replay(seeded, cut)
 
 
 class TestRecoveryAfterCrash:

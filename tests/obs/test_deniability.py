@@ -106,3 +106,56 @@ def test_no_secret_appears_on_any_exported_surface():
     for surface in surfaces:
         for secret in spellings:
             assert secret not in surface, f"secret {secret[:16]!r} leaked"
+
+
+_JOURNAL_COUNTS = ("writeback.sweeps", "writeback.blocks", "overlay.read_hits", "checkpoints")
+
+
+def _journal_counts() -> dict[str, int]:
+    return {name: get_registry().counter(f"journal.{name}").value for name in _JOURNAL_COUNTS}
+
+
+def _run_across_a_sweep() -> tuple[bytes, bytes, dict[str, int]]:
+    """Durable writes past one write-back sweep: the raw image with the
+    sweep landed and the rest still in the overlay, the image after
+    ``flush()``, and what the journal counted in between."""
+    device = RamDevice(block_size=512, total_blocks=4096)
+    steg = StegFS.mkfs(
+        device,
+        params=StegFSParams.for_tests(),
+        inode_count=128,
+        rng=random.Random(99),
+        journal_blocks=800,  # no log fill in between
+    )
+    service = StegFSService(steg, max_workers=2)
+    try:
+        before = _journal_counts()
+        service.steg_create(HIDDEN_NAME, UAK, data=b"hidden " * 200)
+        for n in range(40):
+            service.create(f"/plain-{n}", bytes([n]) * 1800)
+        service.steg_write(HIDDEN_NAME, UAK, b"hidden v2 " * 300)
+        assert service.read("/plain-3") == b"\x03" * 1800
+        moved = {name: count - before[name] for name, count in _journal_counts().items()}
+        swept = device.image()
+        service.flush()
+        return swept, device.image(), moved
+    finally:
+        service.close()
+
+
+def test_device_image_is_byte_identical_across_a_write_back_sweep():
+    with root_span("workload"):
+        *images_on, moved = _run_across_a_sweep()
+    # Sanity: the sweep ran at the bound, not in a checkpoint, reads were
+    # served from the overlay, and the first image has writes still pending.
+    assert moved["checkpoints"] == 0 and moved["writeback.sweeps"] >= 1
+    assert moved["writeback.blocks"] >= 128 and moved["overlay.read_hits"] > 0
+    assert images_on[0] != images_on[1]
+    assert any(span["name"] == "journal.writeback" for span in get_tracer().spans())
+    set_enabled(False)
+    try:
+        *images_off, unmoved = _run_across_a_sweep()
+    finally:
+        set_enabled(True)
+    assert not any(unmoved.values())
+    assert images_on == images_off

@@ -1,8 +1,8 @@
 """Ablations over the §3.1 design choices + the deniability experiment.
 
 Not a paper figure: these sweeps quantify what each mechanism (abandoned
-blocks, dummies, pools, IDA dispersal) costs and buys, per the ablation
-index in DESIGN.md.
+blocks, dummies, pools, IDA dispersal) costs and buys; the four sweeps are
+listed in the docstring of :mod:`repro.bench.ablation`.
 """
 
 from __future__ import annotations

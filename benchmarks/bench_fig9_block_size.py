@@ -29,26 +29,17 @@ def test_serial_ordering(result, op):
     """CleanDisk < FragDisk < StegFS < StegCover at every block size.
 
     The FragDisk < StegFS link is §5.4's seek-per-fragment versus
-    seek-per-block argument: FragDisk positions once for the inode and
-    once per 8-block fragment, StegFS once per sealed block (one more
-    than the file's native blocks, since a sealed block also carries its
-    nonce).  With n blocks per file that is 1 + ceil(n/8) against n + 1:
-    strictly ordered from n = 2, a tie at n = 1, which is the 64 KB point
-    of the default 1/16 scale (64 KB files; the paper's 1 MB files span
-    16 blocks there).  So the *read* panel asserts convergence at n = 1.
-    It is the StegFS side that moved: the open-object table keeps a warm
-    object's header and block map in core, so a read touches its data
-    blocks and nothing else, where the header read and the locator probes
-    used to keep StegFS above the tie.  Writes stay strictly ordered even
-    there, because a StegFS write also rewrites its header and map blocks.
+    seek-per-block argument: with its directory and inode in core, as any
+    kernel holds them, FragDisk positions once per 8-block fragment, StegFS
+    once per sealed block (one more than the file's native blocks, since a
+    sealed block also carries its nonce).  With n blocks per file that is
+    ceil(n/8) against n + 1: strict at every point, down to the one block per
+    file of the 64 KB end of the default 1/16 scale.
     """
     table = result.read_s if op == "read" else result.write_s
-    for i, block_kb in enumerate(result.block_sizes_kb):
+    for i in range(len(result.block_sizes_kb)):
         assert table["CleanDisk"][i] < table["FragDisk"][i]
-        if op == "write" or result.blocks_per_file(block_kb) >= 2:
-            assert table["FragDisk"][i] < table["StegFS"][i]
-        else:
-            assert table["StegFS"][i] == pytest.approx(table["FragDisk"][i], rel=0.05)
+        assert table["FragDisk"][i] < table["StegFS"][i]
         assert table["StegFS"][i] < table["StegCover"][i]
 
 
@@ -68,12 +59,19 @@ def test_access_time_falls_with_block_size(result):
 
 
 def test_gaps_compress_at_large_blocks(result):
-    """Seek amortisation: the StegFS/CleanDisk gap shrinks with block size."""
+    """Seek amortisation: the StegFS penalty, in seconds, shrinks with block size.
+
+    The penalty is the difference, as the module docstring words it, not the
+    ratio: StegFS pays a seek per block and CleanDisk one per file, both pay
+    the same transfer, so with n blocks per file the ratio stays near the
+    price of a seek over the price of a sequential block (about 5 here, at
+    every block size) while the difference falls with n.
+    """
     first = result.block_sizes_kb.index(0.5)
     last = result.block_sizes_kb.index(64)
-    gap_small = result.read_s["StegFS"][first] / result.read_s["CleanDisk"][first]
-    gap_large = result.read_s["StegFS"][last] / result.read_s["CleanDisk"][last]
-    assert gap_large < gap_small
+    penalty_small = result.read_s["StegFS"][first] - result.read_s["CleanDisk"][first]
+    penalty_large = result.read_s["StegFS"][last] - result.read_s["CleanDisk"][last]
+    assert 0 < penalty_large < 0.1 * penalty_small
 
 
 def test_stegrand_read_close_to_stegfs(result):

@@ -28,13 +28,8 @@ class Fig9Result:
 
     block_sizes_kb: tuple[float, ...]
     scale: float
-    file_size: int
     read_s: dict[str, list[float]] = field(default_factory=dict)
     write_s: dict[str, list[float]] = field(default_factory=dict)
-
-    def blocks_per_file(self, block_kb: float) -> int:
-        """How many native blocks one file spans at this block size."""
-        return -(-self.file_size // int(block_kb * KB))
 
 
 def run(
@@ -46,7 +41,7 @@ def run(
     """Regenerate Figure 9's data points."""
     scale = bench_scale()
     file_size = max(int(1 * MB * scale), 64 * KB)  # paper: 1 MB files
-    result = Fig9Result(block_sizes_kb=block_sizes_kb, scale=scale, file_size=file_size)
+    result = Fig9Result(block_sizes_kb=block_sizes_kb, scale=scale)
     for name in systems:
         result.read_s[name] = []
         result.write_s[name] = []

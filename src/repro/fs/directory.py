@@ -48,6 +48,10 @@ class DirectoryData:
         """Mapping of name → inode number (a live view; treat as read-only)."""
         return self._entries
 
+    def copy(self) -> "DirectoryData":
+        """An independent listing with the same entries."""
+        return DirectoryData(self._entries)
+
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 

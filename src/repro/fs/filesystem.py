@@ -6,17 +6,31 @@ directories, and pluggable data-allocation policy.  The evaluation's
 *CleanDisk* and *FragDisk* configurations are this file system with the
 contiguous and fragmenting allocators respectively (§5.1).
 
-Concurrency: instances are single-threaded by design, matching the
-trace-then-simulate benching model (DESIGN.md §5) where multi-user
-interleaving is applied at the disk model, not with locks.
+In-core metadata: like every kernel file system it keeps a name cache (the
+parsed listing of each directory, by inode number) and the images of the
+inode-table and pointer blocks it has walked, so a warm operation touches
+its data blocks and nothing else.  There is one invalidation rule — a
+mutation scope that fails, whoever opened it, empties both — and both are
+RAM-only plain metadata, bounded by :data:`NAME_CACHE_BOUND` and
+:data:`META_IMAGE_BOUND`.
+
+Concurrency: the instance takes no lock of its own around an operation.
+The service layer runs mutators under its exclusive volume lock and lets
+readers share one, so ``read``/``stat``/``exists``/``listdir`` may run
+concurrently with each other (never with a mutator); the only state they
+write is the two caches, which lock their own bookkeeping.  The paper
+benches drive an instance from one thread and apply multi-user interleaving
+at the disk model.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager, nullcontext
+import threading
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ContextManager, Iterator
+from typing import ContextManager, Generic, Iterator, TypeVar
 
 from repro.errors import (
     BadSuperblockError,
@@ -37,6 +51,7 @@ from repro.fs.superblock import (
     POLICY_RANDOM,
     Superblock,
 )
+from repro.obs.metrics import get_registry
 from repro.storage.allocator import (
     ContiguousAllocator,
     FragmentingAllocator,
@@ -47,7 +62,31 @@ from repro.storage.block_device import BlockDevice
 from repro.storage.journal import Journal, RecoveryReport
 from repro.storage.txn import JournaledDevice, TransactionManager
 
-__all__ = ["FileSystem", "FileStat"]
+__all__ = ["FileSystem", "FileStat", "NAME_CACHE_BOUND", "META_IMAGE_BOUND"]
+
+#: Most directories whose parsed listing one volume keeps in core.  An entry
+#: costs about 100 bytes plus the name; no file has two names, so all the
+#: listings together never hold more than ``inode_count`` entries — at most
+#: 0.5 MiB on the 4096 inodes of a 32 MiB volume, 46 MiB if every one of a
+#: 1 GiB volume's 131072 inodes carried a 255-byte name.
+NAME_CACHE_BOUND = 1024
+
+#: Most inode-table and pointer-block images one volume keeps in core:
+#: 256 KiB at 1 KiB blocks (the table blocks of 2048 inodes), 16 MiB at
+#: 64 KiB, the largest block size the paper sweeps.
+META_IMAGE_BOUND = 256
+
+# Counts only — no path, name or block number leaves the caches.  Module-level
+# references keep a lookup at one gated increment; the gauge moves by deltas
+# because every volume of the process shares it.
+_REG = get_registry()
+_NAME_HITS = _REG.counter("fs.names.hits", "directory lookups served in core")
+_NAME_MISSES = _REG.counter("fs.names.misses", "directory lookups that read and parsed the listing")
+_NAME_SIZE = _REG.gauge("fs.names.size", "in-core directory listings, all open volumes")
+_TABLE_READS = _REG.counter("fs.inodes.table_reads", "inode-table blocks read from the device")
+_CLEAN_SKIPS = _REG.counter(
+    "fs.inodes.clean_writes_skipped", "overwrites that left inode and pointer blocks unwritten"
+)
 
 _POLICY_NAMES = {
     "contiguous": POLICY_CONTIGUOUS,
@@ -69,6 +108,56 @@ class FileStat:
     def is_dir(self) -> bool:
         """Whether the object is a directory."""
         return self.type == FileType.DIRECTORY
+
+
+_V = TypeVar("_V")
+
+
+class _Lru(Generic[_V]):
+    """Least-recently-used map from an inode or block number to ``_V``.
+
+    Readers under the service's shared volume lock fill it concurrently, and
+    a hit reorders it, hence the lock (as in
+    :class:`~repro.core.volume.ObjectTable`).  ``put`` and the two removals
+    return by how much the map shrank or grew, for gauges kept by deltas.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[int, _V] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: int) -> _V | None:
+        """The entry for ``key`` (now most recently used), or None."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: int, value: _V, bound: int) -> int:
+        """Make ``value`` the entry for ``key``, evicting beyond ``bound``."""
+        with self._lock:
+            before = len(self._entries)
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > bound:
+                self._entries.popitem(last=False)
+            return len(self._entries) - before
+
+    def drop(self, key: int) -> int:
+        """Forget ``key``; the number of entries that removed (0 or 1)."""
+        with self._lock:
+            return 0 if self._entries.pop(key, None) is None else 1
+
+    def clear(self) -> int:
+        """Forget everything; the number of entries that removed."""
+        with self._lock:
+            removed = len(self._entries)
+            self._entries.clear()
+        return removed
 
 
 class FileSystem:
@@ -104,12 +193,25 @@ class FileSystem:
                 device, self._journal, sync_on_commit=auto_flush
             )
             self._device: BlockDevice = JournaledDevice(device, self._txn)
+            # Whoever opened it — steg_hide and steg_unhide mix plain and
+            # hidden blocks in one — an aborted transaction discards staged
+            # blocks the in-core copies already describe.
+            self._txn.add_abort_hook(self._drop_incore)
         else:
             self._journal = None
             self._txn = None
             self._device = device
-        self._inode_cache: dict[int, Inode] = {}
-        self._dirty_inodes: set[int] = set()
+        # The in-core metadata.  ``_images`` and ``_names`` are clean copies
+        # of what the device holds (logically: staged and overlay images
+        # included) and may be dropped at any time; ``_dirty`` is the only
+        # place an inode is newer than its table image, until ``flush``
+        # writes it through.  A clean inode is parsed from its image on
+        # every load — there is no second parsed copy to disagree with it.
+        self._names: _Lru[DirectoryData] = _Lru()
+        self._images: _Lru[bytes] = _Lru()
+        self._dirty: dict[int, Inode] = {}
+        # No inode below this number is free: where the search for one starts.
+        self._free_inode_hint = 0
         self._bitmap_dirty = False
         # Byte image of the bitmap as last flushed; journaled flushes diff
         # against it so a one-bit change journals one block, not the whole
@@ -190,7 +292,7 @@ class FileSystem:
         root = fs._load_inode(superblock.root_inode)
         root.type = FileType.DIRECTORY
         fs._mark_dirty(root)
-        fs._write_inode_data(root, DirectoryData().to_bytes())
+        fs._write_directory(root, DirectoryData())
         fs._device.write_block(0, superblock.to_bytes(device.block_size))
         fs.flush()
         return fs
@@ -276,13 +378,23 @@ class FileSystem:
         Inside the scope every block write is staged; on clean exit the
         whole set commits through the journal as one record (nested scopes
         join the outermost).  On an exception the staged writes are
-        discarded and the in-memory metadata caches are invalidated so
-        they re-load from the (untouched) on-disk state.  Journal-less
-        volumes get a no-op scope — the historical bare-write behaviour.
+        discarded and the in-core metadata is dropped, so it re-loads from
+        the (untouched) on-disk state.  A journal-less volume writes in
+        place as it goes — the historical bare-write behaviour — so there
+        a failed scope can undo nothing on disk; it drops the clean in-core
+        copies all the same, because a write that raised may have landed.
         """
         if self._txn is None:
-            return nullcontext()
+            return self._bare_scope()
         return self._atomic_scope()
+
+    @contextmanager
+    def _bare_scope(self) -> Iterator[None]:
+        try:
+            yield
+        except BaseException:
+            self._drop_incore()
+            raise
 
     @contextmanager
     def _atomic_scope(self) -> Iterator[None]:
@@ -307,8 +419,8 @@ class FileSystem:
         self,
     ) -> tuple["Bitmap", dict[int, Inode], bool]:
         dirty_copies = {
-            number: Inode.from_bytes(number, self._inode_cache[number].to_bytes())
-            for number in self._dirty_inodes
+            number: Inode.from_bytes(number, inode.to_bytes())
+            for number, inode in self._dirty.items()
         }
         return self._bitmap.snapshot(), dirty_copies, self._bitmap_dirty
 
@@ -317,13 +429,22 @@ class FileSystem:
     ) -> None:
         bitmap_snapshot, dirty_copies, bitmap_dirty = checkpoint
         self._bitmap.restore(bitmap_snapshot)
-        self._inode_cache = dict(dirty_copies)
-        self._dirty_inodes = set(dirty_copies)
+        self._drop_incore()
+        self._dirty = dict(dirty_copies)
         self._bitmap_dirty = bitmap_dirty
         # A flush inside the aborted transaction may have updated the
         # shadow while its writes were discarded: drop it so the next
         # flush rewrites the bitmap from truth.
         self._bitmap_shadow = None
+
+    def _drop_incore(self) -> None:
+        """Forget every clean in-core copy: the device may no longer hold
+        what they describe.  The one invalidation rule — a failed mutation
+        scope, journaled or bare, ends here.  Dirty inodes are not clean
+        copies; :meth:`_restore_memory` decides which of them survive."""
+        _NAME_SIZE.add(-self._names.clear())
+        self._images.clear()
+        self._free_inode_hint = 0
 
     @property
     def block_size(self) -> int:
@@ -356,15 +477,14 @@ class FileSystem:
 
     def _create(self, path: str, data: bytes) -> None:
         parent, name = self._resolve_parent(path)
-        listing = self._read_directory(parent)
+        listing = self._read_directory(parent).copy()
         if name in listing:
             raise FileExistsError_(f"{path!r} already exists")
         inode = self._allocate_inode(FileType.REGULAR)
         try:
             self._write_inode_data(inode, data)
         except NoSpaceError:
-            inode.type = FileType.FREE
-            self._mark_dirty(inode)
+            self._free_inode(inode)
             self._maybe_flush()
             raise
         listing.add(name, inode.number)
@@ -394,7 +514,7 @@ class FileSystem:
         blocks = mapper.get_blocks()
         bs = self.block_size
         first, last = offset // bs, (offset + length - 1) // bs
-        raw = b"".join(self._device.read_block(b) for b in blocks[first : last + 1])
+        raw = b"".join(self._device.read_blocks(blocks[first : last + 1]))
         start = offset - first * bs
         return raw[start : start + length]
 
@@ -419,6 +539,11 @@ class FileSystem:
             self._bitmap_dirty = True
             mapper.set_blocks(blocks)
         first, last = offset // bs, (end - 1) // bs
+        old_count = -(-inode.size // bs)
+        # Whole blocks between the old end and the extent are a hole: they
+        # read as zeros, not as what the blocks' last owner left in them.
+        # (The block the file ended in is zeros past the end already.)
+        items = [(blocks[logical], bytes(bs)) for logical in range(old_count, first)]
         for logical in range(first, last + 1):
             block_start = logical * bs
             lo = max(offset, block_start) - block_start
@@ -428,8 +553,8 @@ class FileSystem:
             else:
                 existing = (
                     self._device.read_block(blocks[logical])
-                    if logical < -(-inode.size // bs)
-                    else b"\x00" * bs
+                    if logical < old_count
+                    else bytes(bs)
                 )
                 # join (not +) so a memoryview overlay from the zero-copy
                 # wire path composes with the bytes prefix/suffix.
@@ -440,7 +565,8 @@ class FileSystem:
                         existing[hi:],
                     )
                 )
-            self._device.write_block(blocks[logical], chunk)
+            items.append((blocks[logical], chunk))
+        self._device.write_blocks(items)
         inode.size = max(inode.size, end)
         self._mark_dirty(inode)
         self._maybe_flush()
@@ -473,6 +599,12 @@ class FileSystem:
             self._bitmap.free(block)
             self._bitmap_dirty = True
         mapper.set_blocks(blocks[:keep])
+        if size % bs:
+            # Keep the last block zeros past the end of the file, as every
+            # write leaves it: a later write beyond the end uncovers them.
+            last = blocks[keep - 1]
+            kept = self._device.read_block(last)[: size % bs]
+            self._device.write_block(last, kept.ljust(bs, b"\x00"))
         inode.size = size
         self._mark_dirty(inode)
         self._maybe_flush()
@@ -484,7 +616,7 @@ class FileSystem:
 
     def _unlink(self, path: str) -> None:
         parent, name = self._resolve_parent(path)
-        listing = self._read_directory(parent)
+        listing = self._read_directory(parent).copy()
         number = listing.get(name)
         if number is None:
             raise FileNotFoundError_(f"no such file: {path!r}")
@@ -503,11 +635,11 @@ class FileSystem:
 
     def _mkdir(self, path: str) -> None:
         parent, name = self._resolve_parent(path)
-        listing = self._read_directory(parent)
+        listing = self._read_directory(parent).copy()
         if name in listing:
             raise FileExistsError_(f"{path!r} already exists")
         inode = self._allocate_inode(FileType.DIRECTORY)
-        self._write_inode_data(inode, DirectoryData().to_bytes())
+        self._write_directory(inode, DirectoryData())
         listing.add(name, inode.number)
         self._write_directory(parent, listing)
         self._maybe_flush()
@@ -522,7 +654,7 @@ class FileSystem:
         if not components:
             raise InvalidPathError("cannot remove the root directory")
         parent, name = self._resolve_parent(path)
-        listing = self._read_directory(parent)
+        listing = self._read_directory(parent).copy()
         number = listing.get(name)
         if number is None:
             raise FileNotFoundError_(f"no such directory: {path!r}")
@@ -616,8 +748,8 @@ class FileSystem:
         On a journaled volume this is itself a transaction: the bitmap and
         every dirty inode block commit as one all-or-nothing record.  The
         bitmap goes out as a single contiguous :meth:`write_blocks` run,
-        and dirty inodes are grouped per table block (one read-modify-write
-        each) instead of one device call per inode.
+        and dirty inodes are patched into the held image of their table
+        block, one write per block and no read-back.
         """
         with self.atomic():
             if self._bitmap_dirty:
@@ -642,21 +774,19 @@ class FileSystem:
                 # pattern (the trace-calibrated baselines are priced on it).
                 self._bitmap_shadow = raw if self._txn is not None else None
                 self._bitmap_dirty = False
-            if self._dirty_inodes:
-                by_block: dict[int, list[Inode]] = {}
-                for number in sorted(self._dirty_inodes):
-                    block, _ = self._layout.inode_location(number)
-                    by_block.setdefault(block, []).append(self._inode_cache[number])
-                images = self._device.read_blocks(sorted(by_block))
-                items = []
-                for block, raw_image in zip(sorted(by_block), images):
-                    patched = bytearray(raw_image)
-                    for inode in by_block[block]:
-                        _, offset = self._layout.inode_location(inode.number)
-                        patched[offset : offset + INODE_SIZE] = inode.to_bytes()
-                    items.append((block, bytes(patched)))
+            if self._dirty:
+                patched: dict[int, bytearray] = {}
+                for number in sorted(self._dirty):
+                    block, offset = self._layout.inode_location(number)
+                    if block not in patched:
+                        patched[block] = bytearray(self._read_meta_block(block))
+                    patched[block][offset : offset + INODE_SIZE] = self._dirty[number].to_bytes()
+                items = [(block, bytes(image)) for block, image in patched.items()]
                 self._device.write_blocks(items)
-                self._dirty_inodes.clear()
+                # Written through: the images are the inodes' truth again.
+                for block, image in items:
+                    self._images.put(block, image, META_IMAGE_BOUND)
+                self._dirty.clear()
 
     # ------------------------------------------------------------------
     # internals: inode table
@@ -670,42 +800,42 @@ class FileSystem:
             self._device.write_block(block, block_image)
 
     def _load_inode(self, number: int) -> Inode:
-        cached = self._inode_cache.get(number)
-        if cached is not None:
-            return cached
+        """Inode ``number``: the dirty object if there is one, else a fresh
+        view of its table image (callers mutate it, then ``_mark_dirty``)."""
+        dirty = self._dirty.get(number)
+        if dirty is not None:
+            return dirty
         block, offset = self._layout.inode_location(number)
-        raw = self._device.read_block(block)[offset : offset + INODE_SIZE]
-        inode = Inode.from_bytes(number, raw)
-        self._inode_cache[number] = inode
-        return inode
-
-    def _store_inode(self, inode: Inode) -> None:
-        block, offset = self._layout.inode_location(inode.number)
-        raw = bytearray(self._device.read_block(block))
-        raw[offset : offset + INODE_SIZE] = inode.to_bytes()
-        self._device.write_block(block, bytes(raw))
+        return Inode.from_bytes(number, self._read_meta_block(block)[offset : offset + INODE_SIZE])
 
     def _mark_dirty(self, inode: Inode) -> None:
-        self._inode_cache[inode.number] = inode
-        self._dirty_inodes.add(inode.number)
+        self._dirty[inode.number] = inode
 
     def _allocate_inode(self, file_type: FileType) -> Inode:
-        for number in range(self._superblock.inode_count):
+        for number in range(self._free_inode_hint, self._superblock.inode_count):
             inode = self._load_inode(number)
             if inode.is_free:
                 inode.type = file_type
                 inode.size = 0
                 self._mark_dirty(inode)
+                self._free_inode_hint = number + 1
                 return inode
         raise NoSpaceError("inode table is full")
+
+    def _free_inode(self, inode: Inode) -> None:
+        """Return the slot: :meth:`_allocate_inode` hands the number out
+        again, so nothing in core may still speak for it."""
+        inode.type = FileType.FREE
+        self._mark_dirty(inode)
+        self._free_inode_hint = min(self._free_inode_hint, inode.number)
+        _NAME_SIZE.add(-self._names.drop(inode.number))
 
     def _release_inode(self, inode: Inode) -> None:
         mapper = BlockMapper(self, inode)
         for block in mapper.release_all():
             self._bitmap.free(block)
         self._bitmap_dirty = True
-        inode.type = FileType.FREE
-        self._mark_dirty(inode)
+        self._free_inode(inode)
 
     # ------------------------------------------------------------------
     # internals: data I/O
@@ -713,7 +843,7 @@ class FileSystem:
 
     def _read_inode_data(self, inode: Inode) -> bytes:
         mapper = BlockMapper(self, inode)
-        raw = b"".join(self._device.read_block(b) for b in mapper.get_blocks())
+        raw = b"".join(self._device.read_blocks(mapper.get_blocks()))
         return raw[: inode.size]
 
     def _write_inode_data(self, inode: Inode, data: bytes) -> None:
@@ -733,13 +863,20 @@ class FileSystem:
             self._bitmap_dirty = True
         else:
             blocks = old_blocks
+        items = []
         for i, block in enumerate(blocks):
             chunk = data[i * bs : (i + 1) * bs]
             if len(chunk) < bs:
                 # join (not ljust) keeps bytes-like chunks — memoryview
                 # slices off the wire — working without a copy first.
                 chunk = b"".join((chunk, bytes(bs - len(chunk))))
-            self._device.write_block(block, chunk)
+            items.append((block, chunk))
+        if items:
+            self._device.write_blocks(items)
+        if blocks == old_blocks and inode.size == len(data):
+            # Neither the inode nor a pointer block changed a byte.
+            _CLEAN_SKIPS.inc()
+            return
         inode.size = len(data)
         mapper.set_blocks(blocks)
         self._mark_dirty(inode)
@@ -749,10 +886,25 @@ class FileSystem:
     # ------------------------------------------------------------------
 
     def _read_directory(self, inode: Inode) -> DirectoryData:
-        return DirectoryData.from_bytes(self._read_inode_data(inode))
+        """The in-core listing of directory ``inode``, parsed on first use.
+
+        Every caller shares the one object: a mutator edits a ``copy()`` and
+        hands it to :meth:`_write_directory`.
+        """
+        listing = self._names.get(inode.number)
+        if listing is not None:
+            _NAME_HITS.inc()
+            return listing
+        _NAME_MISSES.inc()
+        listing = DirectoryData.from_bytes(self._read_inode_data(inode))
+        _NAME_SIZE.add(self._names.put(inode.number, listing, NAME_CACHE_BOUND))
+        return listing
 
     def _write_directory(self, inode: Inode, listing: DirectoryData) -> None:
         self._write_inode_data(inode, listing.to_bytes())
+        # Only now: had the write raised, the old listing stayed the entry
+        # until the failed scope dropped it.
+        _NAME_SIZE.add(self._names.put(inode.number, listing, NAME_CACHE_BOUND))
 
     def _resolve(self, path: str) -> Inode:
         components = split_path(path)
@@ -788,14 +940,23 @@ class FileSystem:
             self.flush()
 
     # ------------------------------------------------------------------
-    # internals: metadata block I/O for BlockMapper
+    # internals: metadata block I/O (BlockMapper's callbacks; the inode table's too)
     # ------------------------------------------------------------------
 
     def _read_meta_block(self, block: int) -> bytes:
-        return self._device.read_block(block)
+        """The image of an inode-table or pointer block, held in core."""
+        image = self._images.get(block)
+        if image is None:
+            image = self._device.read_block(block)
+            if block < self._layout.journal_start:
+                _TABLE_READS.inc()
+            self._images.put(block, image, META_IMAGE_BOUND)
+        return image
 
     def _write_meta_block(self, block: int, data: bytes) -> None:
-        self._device.write_block(block, data.ljust(self.block_size, b"\x00"))
+        image = data.ljust(self.block_size, b"\x00")
+        self._device.write_block(block, image)
+        self._images.put(block, image, META_IMAGE_BOUND)
 
     def _alloc_meta_block(self) -> int:
         block = self._bitmap.find_free_run(1, start=self._layout.data_start)
@@ -806,6 +967,7 @@ class FileSystem:
     def _free_meta_block(self, block: int) -> None:
         self._bitmap.free(block)
         self._bitmap_dirty = True
+        self._images.drop(block)
 
 
 class _RandomRunAdapter:

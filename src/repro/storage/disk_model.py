@@ -38,7 +38,8 @@ __all__ = ["DiskParameters", "DiskModel"]
 
 @dataclass(frozen=True)
 class DiskParameters:
-    """Calibration constants (the Table 2 stand-in; see DESIGN.md)."""
+    """Calibration constants (the Table 2 stand-in; the module docstring
+    says what each was calibrated against)."""
 
     seek_min_ms: float = 0.8
     seek_max_ms: float = 10.0
@@ -101,7 +102,7 @@ class DiskModel:
 
     @classmethod
     def ultra_ata_100(cls, block_size: int, total_blocks: int, seed: int = 0) -> "DiskModel":
-        """Model calibrated for the paper's testbed (see DESIGN.md)."""
+        """Model calibrated for the paper's testbed (see the module docstring)."""
         return cls(block_size=block_size, total_blocks=total_blocks, seed=seed)
 
     @property

@@ -34,7 +34,9 @@ record is either provably complete or it (and everything after it) is
 discarded as a torn tail.  Sequence numbers increase monotonically for the
 life of the volume and must run contiguously during a scan — a stale record
 surviving from before the last checkpoint can never be mistaken for live
-tail because its sequence number cannot match the expected one.
+tail because its sequence number cannot match the expected one.  Recovery
+keeps that true of the records it discards: it skips ``next_seq`` past every
+number the record area could still hold (see :meth:`Journal.recover`).
 
 Checkpoints (:meth:`Journal.reset`) make the record area reusable: the
 caller first makes all in-place writes durable, then the header advances
@@ -355,6 +357,14 @@ class Journal:
             blocks += len(valid)
         if records:
             self._next_seq = records[-1][0] + 1
+        # Whatever lay behind the point where the scan stopped is discarded
+        # but stays on the platter, and the scan cannot tell an empty tail
+        # from one whose first block never landed.  An intact record there
+        # (two group commits were in flight) carries a sequence number this
+        # log would otherwise reach again, right when a new record ends in
+        # front of it.  No record is shorter than two blocks, so none in the
+        # area is numbered ``capacity_blocks`` or more past the last replayed.
+        self._next_seq += self.capacity_blocks
         self._device.flush()
         self.reset()
         return RecoveryReport(

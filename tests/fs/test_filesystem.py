@@ -189,6 +189,21 @@ class TestRangeIO:
         assert content[2:300] == b"\x00" * 298
         assert content[300:] == b"tail"
 
+    def test_the_gap_is_zeros_on_blocks_that_held_data_before(self):
+        """The hole's blocks come from the free list with their last owner's
+        bytes in them, and a shrunk file's last block keeps its old tail."""
+        fs = make_fs()
+        fs.create("/f", b"\xaa" * 2000)
+        fs.write("/f", b"\xbb" * 600)  # frees eight dirty blocks, takes three
+        fs.write_range("/f", 1900, b"tail")  # hole: the rest of block 2, blocks 3-6
+        assert fs.read("/f") == b"\xbb" * 600 + b"\x00" * 1300 + b"tail"
+        fs.truncate("/f", 10)
+        fs.write_range("/f", 200, b"end")  # same block: 0xbb was behind byte 10
+        assert fs.read("/f") == b"\xbb" * 10 + b"\x00" * 190 + b"end"
+        fs.truncate("/f", 5)
+        fs.write_range("/f", 600, b"end")  # the next block: block 0 is not rewritten
+        assert fs.read("/f") == b"\xbb" * 5 + b"\x00" * 595 + b"end"
+
     def test_append(self):
         fs = make_fs()
         fs.create("/log", b"line1\n")

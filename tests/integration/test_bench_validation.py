@@ -137,9 +137,7 @@ def test_render_is_pure(tmp_path, monkeypatch):
             )
         ),
         fig9.render(
-            fig9.Fig9Result(
-                block_sizes_kb=(1.0,), scale=1.0, file_size=65536, read_s=series, write_s=series
-            )
+            fig9.Fig9Result(block_sizes_kb=(1.0,), scale=1.0, read_s=series, write_s=series)
         ),
         space.render(space.SpaceResult(stegfs=0.8, stegcover=0.7, stegrand=0.05, scale=1.0)),
         ablation.render(ablation.AblationResult(ida_rows=ablation.sweep_ida(seed=1))),

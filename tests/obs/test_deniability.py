@@ -79,6 +79,48 @@ def test_device_image_is_byte_identical_with_obs_on_and_off():
     assert image_on == image_off
 
 
+def _run_plain_workload(traced: bool) -> tuple[bytes, int]:
+    """A seeded plain workload over a warm name cache: (image, lookups counted)."""
+    counted = get_registry().counter("fs.names.hits").value
+    device = RamDevice(block_size=512, total_blocks=4096)
+    steg = StegFS.mkfs(
+        device, params=StegFSParams.for_tests(), inode_count=64, rng=random.Random(17)
+    )
+    rng = random.Random(18)
+
+    def ops() -> None:
+        steg.mkdir("/d")
+        for i in range(12):
+            steg.create(f"/d/f{i}", rng.randbytes(rng.randrange(1, 9000)))
+        for _ in range(60):
+            path = f"/d/f{rng.randrange(12)}"
+            size = steg.stat(path).size
+            # Same size half the time: the write that skips inode and pointer blocks.
+            steg.write(path, rng.randbytes(size if rng.random() < 0.5 else rng.randrange(1, 9000)))
+            assert steg.exists(path) and len(steg.listdir("/d")) == 12
+            steg.read(f"/d/f{rng.randrange(12)}")
+        steg.unlink("/d/f3")
+        steg.device.flush()
+
+    if traced:
+        with root_span("workload"):
+            ops()
+    else:
+        ops()
+    return device.image(), get_registry().counter("fs.names.hits").value - counted
+
+
+def test_plain_workload_image_is_byte_identical_with_obs_on_and_off():
+    image_on, counted_on = _run_plain_workload(traced=True)
+    set_enabled(False)
+    try:
+        image_off, counted_off = _run_plain_workload(traced=False)
+    finally:
+        set_enabled(True)
+    assert counted_on > 100 and counted_off == 0  # sanity: the counters saw one run only
+    assert image_on == image_off
+
+
 def test_no_secret_appears_on_any_exported_surface():
     get_slowlog().set_threshold_ms(0.0)
     try:

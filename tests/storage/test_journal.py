@@ -130,12 +130,6 @@ class TestAppendScanReplay:
         assert report.records_replayed == 0
         assert device.read_block(100) == b"\x11" * BS
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="recover() re-issues the sequence numbers of the tail it discards; "
-        "found by test_txn_crash_machine, left for its own issue (journal.py is "
-        "pinned in the PR that found it)",
-    )
     def test_intact_record_behind_a_torn_one_is_never_replayed_later(self, device, journal):
         """Group commit can leave two un-flushed records at a crash, and any
         subset of their blocks on the platter: the first torn, the second
@@ -151,6 +145,22 @@ class TestAppendScanReplay:
         live.append(_writes((100, 0x03), (101, 0x03)))
         device.flush()  # durable: this one is acked
         Journal(device, START, JOURNAL_BLOCKS, BS).recover()
+        assert device.read_block(100) == b"\x03" * BS
+
+    def test_nor_is_one_behind_a_record_whose_descriptor_never_landed(self, device, journal):
+        """The same two records, but it is the first one's descriptor that
+        the crash lost: the scan sees no torn record at all, just the end of
+        the log — and the whole second record right behind it."""
+        journal.append(_writes((100, 0x01), (101, 0x01)))  # seq 1, never acked
+        journal.append(_writes((100, 0x02)))  # seq 2, never acked
+        device.write_block(START + HEADER_SLOTS, b"\x00" * BS)
+        report = Journal(device, START, JOURNAL_BLOCKS, BS).recover()
+        assert report.records_replayed == 0 and not report.torn_tail
+        live = Journal(device, START, JOURNAL_BLOCKS, BS)
+        live.load()
+        live.append(_writes((100, 0x03), (101, 0x03)))
+        device.flush()  # durable: this one is acked
+        assert Journal(device, START, JOURNAL_BLOCKS, BS).recover().records_replayed == 1
         assert device.read_block(100) == b"\x03" * BS
 
     def test_append_past_capacity_rejected(self, journal):
@@ -181,4 +191,5 @@ class TestSequenceNumbers:
         fresh = Journal(device, START, JOURNAL_BLOCKS, BS)
         report = fresh.recover()
         assert report.records_replayed == 1  # only the post-checkpoint one
-        assert fresh.next_seq == s2 + 1
+        # Past s2 and past anything the record area could still hold.
+        assert fresh.next_seq == s2 + 1 + fresh.capacity_blocks

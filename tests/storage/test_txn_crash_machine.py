@@ -35,7 +35,7 @@ from hypothesis.stateful import (
 
 from repro.errors import PowerCutError
 from repro.storage.crash import CrashInjectionDevice
-from repro.storage.journal import HEADER_SLOTS, Journal
+from repro.storage.journal import Journal
 from repro.storage.txn import JournaledDevice, TransactionManager
 
 BS = 128
@@ -132,16 +132,6 @@ class WriteBackMachine(RuleBasedStateMachine):
         assert again.records_replayed == 0, self._why("second replay")
         assert found == [twin.read_block(index) for index in DATA], self._why(
             "second replay moved data"
-        )
-        # recover() leaves what lay behind a torn record in place and hands
-        # its sequence numbers out again, so a discarded record can line up
-        # behind a new one and be replayed over it (test_journal.py::
-        # test_intact_record_behind_a_torn_one_is_never_replayed_later).
-        # That hole is the log format's, not write-back's: wipe the record
-        # area so it cannot drown out what this machine is after.
-        twin.write_blocks(
-            (block, b"\x00" * BS)
-            for block in range(J_START + HEADER_SLOTS, J_START + J_BLOCKS)
         )
         self.acked, self.tail = matching[-1], []
         self._attach(_Device.from_image(twin.image(), BS, seed=self.seed))

@@ -288,7 +288,100 @@ class AsyncShardBackend(Protocol):
         ...
 
 
-class AsyncServiceShard:
+class _ShardVerbs:
+    """The shard verbs and the two upsert ladders, once for both adapters.
+
+    Each verb names a service operation and its arguments by keyword;
+    the adapter's one hook, :meth:`_call`, carries that to the volume —
+    in-process through the service front with the key passed along, over
+    the wire through the client verb of the same name, which drops the
+    key (the session token stands for it).
+    """
+
+    async def _call(self, op: str, uak: bytes | None = None, **kwargs: Any) -> Any:
+        raise NotImplementedError
+
+    # plain namespace -------------------------------------------------
+
+    async def put(self, path: str, data: bytes) -> None:
+        """Upsert a plain file (write, falling back to create).
+
+        The create leg tolerates Exists and re-writes — a concurrent
+        repair or a second coordinator may have created the file in
+        between, and an upsert must converge on the newest payload.
+        """
+        try:
+            await self._call("write", path=path, data=data)
+        except FileNotFoundError_:
+            try:
+                await self._call("create", path=path, data=data)
+            except FileExistsError_:
+                await self._call("write", path=path, data=data)
+
+    async def read(self, path: str) -> bytes:
+        """Read a plain file."""
+        return await self._call("read", path=path)
+
+    async def exists(self, path: str) -> bool:
+        """Whether a plain path exists on this shard."""
+        return await self._call("exists", path=path)
+
+    async def unlink(self, path: str) -> None:
+        """Delete a plain file."""
+        await self._call("unlink", path=path)
+
+    async def listdir(self, path: str = "/") -> list[str]:
+        """List a plain directory."""
+        return await self._call("listdir", path=path)
+
+    # hidden namespace ------------------------------------------------
+
+    async def steg_put(self, objname: str, uak: bytes, data: bytes) -> None:
+        """Upsert a hidden file (write, falling back to create)."""
+        try:
+            await self._call("steg_write", uak, objname=objname, data=data)
+        except HiddenObjectNotFoundError:
+            try:
+                await self._call("steg_create", uak, objname=objname, data=data)
+            except HiddenObjectExistsError:
+                await self._call("steg_write", uak, objname=objname, data=data)
+
+    async def steg_read(self, objname: str, uak: bytes) -> bytes:
+        """Read a hidden file."""
+        return await self._call("steg_read", uak, objname=objname)
+
+    async def steg_read_extent(
+        self, objname: str, uak: bytes, offset: int, length: int
+    ) -> bytes:
+        """Read one extent of a hidden file (fragment-header probes)."""
+        return await self._call(
+            "steg_read_extent", uak, objname=objname, offset=offset, length=length
+        )
+
+    async def steg_delete(self, objname: str, uak: bytes) -> None:
+        """Delete a hidden object."""
+        await self._call("steg_delete", uak, objname=objname)
+
+    async def steg_list(self, uak: bytes) -> list[str]:
+        """List the hidden root for ``uak``."""
+        return await self._call("steg_list", uak)
+
+    async def flush(self) -> None:
+        """Flush the shard volume."""
+        await self._call("flush")
+
+    # observability ---------------------------------------------------
+
+    async def obs_snapshot(self) -> str:
+        """The shard process's merge-ready telemetry document (JSON; scrape hook)."""
+        return await self._call("obs_snapshot")
+
+    async def obs_trace(self, trace_id: str = "") -> str:
+        """The shard process's span records for one trace (JSON; stitch hook)."""
+        return await self._call("obs_trace", trace_id=trace_id)
+
+
+class AsyncServiceShard(_ShardVerbs):
     """In-process async shard: a service behind an awaitable front.
 
     Blocking volume work runs on the service's own worker pool via
@@ -312,98 +405,24 @@ class AsyncServiceShard:
         """The wrapped service (tests reach through for inspection)."""
         return self._service
 
+    async def _call(self, op: str, uak: bytes | None = None, **kwargs: Any) -> Any:
+        if uak is not None:
+            kwargs["uak"] = uak
+        return await self._front.call(op, **kwargs)
+
     async def ping(self) -> bool:
         """Liveness: a closed service raises, which the caller maps to dead."""
         if getattr(self._service, "closed", False):
             raise ServiceClosedError("shard service has been shut down")
         return True
 
-    # plain namespace -------------------------------------------------
-
-    async def put(self, path: str, data: bytes) -> None:
-        """Upsert a plain file (write, falling back to create).
-
-        The create leg tolerates Exists and re-writes — a concurrent
-        repair or a duplicated delivery may have created the file in
-        between, and an upsert must converge on the newest payload.
-        """
-        try:
-            await self._front.call("write", path, data)
-        except FileNotFoundError_:
-            try:
-                await self._front.call("create", path, data)
-            except FileExistsError_:
-                await self._front.call("write", path, data)
-
-    async def read(self, path: str) -> bytes:
-        """Read a plain file."""
-        return await self._front.call("read", path)
-
-    async def exists(self, path: str) -> bool:
-        """Whether a plain path exists on this shard."""
-        return await self._front.call("exists", path)
-
-    async def unlink(self, path: str) -> None:
-        """Delete a plain file."""
-        await self._front.call("unlink", path)
-
-    async def listdir(self, path: str = "/") -> list[str]:
-        """List a plain directory."""
-        return await self._front.call("listdir", path)
-
-    # hidden namespace ------------------------------------------------
-
-    async def steg_put(self, objname: str, uak: bytes, data: bytes) -> None:
-        """Upsert a hidden file (write, falling back to create)."""
-        try:
-            await self._front.call("steg_write", objname, uak, data)
-        except HiddenObjectNotFoundError:
-            try:
-                await self._front.call("steg_create", objname, uak, data=data)
-            except HiddenObjectExistsError:
-                await self._front.call("steg_write", objname, uak, data)
-
-    async def steg_read(self, objname: str, uak: bytes) -> bytes:
-        """Read a hidden file."""
-        return await self._front.call("steg_read", objname, uak)
-
-    async def steg_read_extent(
-        self, objname: str, uak: bytes, offset: int, length: int
-    ) -> bytes:
-        """Read one extent of a hidden file (fragment-header probes)."""
-        return await self._front.call(
-            "steg_read_extent", objname, uak, offset, length
-        )
-
-    async def steg_delete(self, objname: str, uak: bytes) -> None:
-        """Delete a hidden object."""
-        await self._front.call("steg_delete", objname, uak)
-
-    async def steg_list(self, uak: bytes) -> list[str]:
-        """List the hidden root for ``uak``."""
-        return await self._front.call("steg_list", uak)
-
-    async def flush(self) -> None:
-        """Flush the shard volume."""
-        await self._front.call("flush")
-
     async def close(self) -> None:
         """Shut the service down if this adapter owns it."""
         if self._owns_service and not getattr(self._service, "closed", True):
             await asyncio.to_thread(self._service.close)
 
-    # observability ---------------------------------------------------
 
-    async def obs_snapshot(self) -> str:
-        """The shard's merge-ready telemetry document (JSON; scrape hook)."""
-        return await self._front.call("obs_snapshot")
-
-    async def obs_trace(self, trace_id: str = "") -> str:
-        """The shard's span records for one trace (JSON; stitch hook)."""
-        return await self._front.call("obs_trace", trace_id)
-
-
-class AsyncRemoteShard:
+class AsyncRemoteShard(_ShardVerbs):
     """Remote async shard: a pipelined client logged in as one user.
 
     The client's session token encodes the UAK server-side, so hidden
@@ -464,91 +483,19 @@ class AsyncRemoteShard:
                 "remote shard session was authenticated with a different key"
             )
 
+    async def _call(self, op: str, uak: bytes | None = None, **kwargs: Any) -> Any:
+        if uak is not None:
+            self._check_key(uak)
+        return await getattr(self._client, op)(**kwargs)
+
     async def ping(self) -> bool:
         """Round-trip liveness check over the wire."""
         return await self._client.ping()
-
-    # plain namespace -------------------------------------------------
-
-    async def put(self, path: str, data: bytes) -> None:
-        """Upsert a plain file on the remote volume."""
-        try:
-            await self._client.write(path, data)
-        except FileNotFoundError_:
-            try:
-                await self._client.create(path, data)
-            except FileExistsError_:
-                await self._client.write(path, data)
-
-    async def read(self, path: str) -> bytes:
-        """Read a plain file."""
-        return await self._client.read(path)
-
-    async def exists(self, path: str) -> bool:
-        """Whether a plain path exists on this shard."""
-        return await self._client.exists(path)
-
-    async def unlink(self, path: str) -> None:
-        """Delete a plain file."""
-        await self._client.unlink(path)
-
-    async def listdir(self, path: str = "/") -> list[str]:
-        """List a plain directory."""
-        return await self._client.listdir(path)
-
-    # hidden namespace ------------------------------------------------
-
-    async def steg_put(self, objname: str, uak: bytes, data: bytes) -> None:
-        """Upsert a hidden file on the remote volume."""
-        self._check_key(uak)
-        try:
-            await self._client.steg_write(objname, data)
-        except HiddenObjectNotFoundError:
-            try:
-                await self._client.steg_create(objname, data=data)
-            except HiddenObjectExistsError:
-                await self._client.steg_write(objname, data)
-
-    async def steg_read(self, objname: str, uak: bytes) -> bytes:
-        """Read a hidden file."""
-        self._check_key(uak)
-        return await self._client.steg_read(objname)
-
-    async def steg_read_extent(
-        self, objname: str, uak: bytes, offset: int, length: int
-    ) -> bytes:
-        """Read one extent of a hidden file."""
-        self._check_key(uak)
-        return await self._client.steg_read_extent(objname, offset, length)
-
-    async def steg_delete(self, objname: str, uak: bytes) -> None:
-        """Delete a hidden object."""
-        self._check_key(uak)
-        await self._client.steg_delete(objname)
-
-    async def steg_list(self, uak: bytes) -> list[str]:
-        """List the session's hidden root."""
-        self._check_key(uak)
-        return await self._client.steg_list()
-
-    async def flush(self) -> None:
-        """Flush the remote volume."""
-        await self._client.flush()
 
     async def close(self) -> None:
         """Close the pipelined connections if this adapter owns them."""
         if self._owns_client:
             await self._client.close()
-
-    # observability ---------------------------------------------------
-
-    async def obs_snapshot(self) -> str:
-        """The remote process's telemetry document (JSON, over the wire)."""
-        return await self._client.obs_snapshot()
-
-    async def obs_trace(self, trace_id: str = "") -> str:
-        """The remote process's spans for one trace (JSON, over the wire)."""
-        return await self._client.obs_trace(trace_id)
 
 
 def _classify_empty_read(

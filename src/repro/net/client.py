@@ -1,4 +1,4 @@
-"""Remote StegFS clients: blocking with a connection pool, and asyncio.
+"""Remote StegFS clients: one wire client under two ways of moving bytes.
 
 Both clients speak the :mod:`repro.net.protocol` codec and mirror the
 service surface one-to-one, with one deliberate difference: hidden and
@@ -7,6 +7,11 @@ of the UAK once, during :meth:`login`'s HMAC challenge–response, receives
 an opaque session token, and sends only that token afterwards — the raw
 key is used locally as MAC-key material and never stored on the client
 object, let alone written to a socket.
+
+Everything a caller can observe is written once: the verbs
+(:class:`_WireVerbs`), how a request is built (:meth:`_Connection._request`)
+and what a reply means (:func:`settle`).  The two clients differ only in
+how bytes move:
 
 * :class:`StegFSClient` — synchronous, safe for many threads: a small
   LIFO connection pool hands each in-flight call a private socket, so
@@ -18,6 +23,14 @@ object, let alone written to a socket.
   arrives, so ``asyncio.gather`` over many calls keeps every link
   saturated without a thread or socket per in-flight operation.
 
+**Delivery is at most once, on both.**  A dead connection is found
+*before* a request is sent — the blocking pool tests a socket as it
+leaves the idle queue, the async pool skips connections whose reader has
+exited — and replaced by a fresh dial.  A call whose connection dies or
+times out *in flight* raises its typed error once and is never replayed:
+the client cannot know whether the server applied it, so the caller
+decides.  The next call dials fresh.
+
 Typed errors raised inside the server arrive as the *same*
 :mod:`repro.errors` class with the same message (see
 :func:`~repro.net.protocol.error_to_exception`).
@@ -27,15 +40,16 @@ from __future__ import annotations
 
 import asyncio
 import queue
+import select
 import socket
 import struct
 import threading
-from typing import Any, Callable, Iterator
-
 from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.errors import ConnectionClosedError, HandshakeError, ProtocolError
 from repro.fs.filesystem import FileStat
+from repro.net import protocol
 from repro.net.protocol import (
     DEFAULT_MAX_FRAME,
     DEFAULT_MAX_MESSAGE,
@@ -48,26 +62,39 @@ from repro.net.protocol import (
     _RESPONSE,
     _T_BYTES,
     auth_proof,
-    encode_message_vectored,
     error_to_exception,
     read_message,
-    send_message,
+    sendmsg_all,
 )
 from repro.obs.trace import current_context, maybe_span
 
 __all__ = ["AsyncStegFSClient", "StegFSClient", "fetch_hidden"]
 
 
-def _check_response(frame: Any, request_id: int) -> Any:
+def settle(frame: Any, request_id: int) -> tuple[Any, Exception | None]:
+    """What a decoded frame means to the call that sent ``request_id``.
+
+    *Returns* when the exchange is complete and well-framed, so the
+    connection stays usable: ``(value, None)`` for the call's RESPONSE,
+    ``(None, error)`` for its ERROR frame — the typed exception the
+    server raised, for the caller to raise in turn.  *Raises* when the
+    stream is finished: a local :class:`ProtocolError` for a frame that
+    answers nothing this call sent, or the server's connection-level
+    refusal (an ERROR frame under another id, sent just before it hangs
+    up).
+    """
     if isinstance(frame, ErrorFrame):
-        raise error_to_exception(frame)
+        error = error_to_exception(frame)
+        if frame.request_id != request_id:
+            raise error
+        return None, error
     if not isinstance(frame, Response):
         raise ProtocolError(f"expected a RESPONSE frame, got {type(frame).__name__}")
     if frame.request_id != request_id:
         raise ProtocolError(
             f"response correlation mismatch: sent {request_id}, got {frame.request_id}"
         )
-    return frame.value
+    return frame.value, None
 
 
 # A streamed RESPONSE body's fixed prefix when the value is bytes:
@@ -75,8 +102,39 @@ def _check_response(frame: Any, request_id: int) -> Any:
 _STREAM_HEAD = struct.Struct("<BIBI")
 
 
-class _PooledConnection:
-    """One socket plus its monotonically increasing request-id counter."""
+class _Connection:
+    """What both byte-movers share: frame limits, request ids, request building."""
+
+    def __init__(self, max_frame: int, max_message: int) -> None:
+        self.max_frame = max_frame
+        self.max_message = max_message
+        self.next_id = 1
+
+    def _request(self, op: str, args: tuple[Any, ...]) -> tuple[int, list[list]]:
+        """Allocate an id and encode one request into its wire frames.
+
+        Runs before anything is registered or sent, so a request refused
+        locally (``FrameTooLargeError``) leaves no state behind.  Callers
+        hold the ``net.client.<op>`` span open around it: inside a trace
+        that span's context rides the request's optional trace field, so
+        the server's spans hang off the round trip; outside a trace both
+        are free no-ops.
+        """
+        request_id = self.next_id
+        self.next_id += 1
+        request = Request(
+            request_id=request_id, op=op, args=args, trace_ctx=current_context()
+        )
+        # Through the module, not an imported name: instrumentation that
+        # wraps the codec in repro.net.protocol must see the client's share.
+        wire = protocol.encode_message_vectored(
+            request, max_frame=self.max_frame, max_message=self.max_message
+        )
+        return request_id, wire
+
+
+class _PooledConnection(_Connection):
+    """One checked-out socket: send the request, receive its reply."""
 
     def __init__(
         self,
@@ -86,46 +144,44 @@ class _PooledConnection:
         max_frame: int = DEFAULT_MAX_FRAME,
         max_message: int = DEFAULT_MAX_MESSAGE,
     ) -> None:
+        super().__init__(max_frame, max_message)
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.max_frame = max_frame
-        self.max_message = max_message
         # One reusable receive buffer + chunk reassembly per socket.
         self.receiver = FrameReceiver(max_frame=max_frame, max_message=max_message)
-        self.next_id = 1
-        #: Successful exchanges completed on this socket.  A connection
-        #: with ``completed > 0`` that suddenly errors most likely died
-        #: while idle in the pool (server restart, idle timeout) — the
-        #: staleness signal the client's retry-once policy keys on.
-        self.completed = 0
-        #: Whether the most recent :meth:`stream` left the wire in a clean
-        #: state (exchange fully consumed) — the pool's keep/evict signal.
-        self.stream_clean = True
+        #: False from the first byte of a request until its exchange has
+        #: been fully consumed (see :func:`settle`) — the pool's
+        #: keep/evict signal.
+        self.clean = True
+
+    def readable(self) -> bool:
+        """Whether an *idle* socket has something to read — it is dead.
+
+        Nothing is outstanding on an idle connection, so readable means
+        EOF, a reset or an unsolicited frame.
+        """
+        try:
+            return bool(select.select([self.sock], [], [], 0)[0])
+        except (OSError, ValueError):  # closed locally: no descriptor left
+            return True
+
+    def _send(self, wire: list[list]) -> None:
+        self.clean = False
+        for buffers in wire:
+            sendmsg_all(self.sock, buffers)
+
+    def _settle(self, frame: Any, request_id: int) -> Any:
+        value, error = settle(frame, request_id)
+        self.clean = True
+        if error is not None:
+            raise error
+        return value
 
     def call(self, op: str, args: tuple[Any, ...]) -> Any:
-        request_id = self.next_id
-        self.next_id += 1
-        # Inside a trace, the round-trip gets its own span and its context
-        # rides the request's optional trace field, so the server's spans
-        # hang off this one; outside a trace both are free no-ops.
         with maybe_span(f"net.client.{op}"):
-            request = Request(
-                request_id=request_id,
-                op=op,
-                args=args,
-                trace_ctx=current_context(),
-            )
-            send_message(
-                self.sock,
-                request,
-                max_frame=self.max_frame,
-                max_message=self.max_message,
-            )
-            value = _check_response(
-                self.receiver.recv_message(self.sock), request_id
-            )
-        self.completed += 1
-        return value
+            request_id, wire = self._request(op, args)
+            self._send(wire)
+            return self._settle(self.receiver.recv_message(self.sock), request_id)
 
     def stream(self, op: str, args: tuple[Any, ...]) -> Iterator[bytes]:
         """Issue one bytes-returning op and yield its payload incrementally.
@@ -133,25 +189,12 @@ class _PooledConnection:
         A streamed RESPONSE arrives as CHUNK frames; each chunk's data
         portion is yielded as soon as it is off the wire, so the full
         payload is never buffered client-side.  A small (unchunked)
-        response yields its whole value once.  ``stream_clean`` is left
-        False while frames may remain unread — the pool evicts on that.
+        response yields its whole value once.  ``clean`` stays False
+        while frames may remain unread — the pool evicts on that.
         """
-        self.stream_clean = False
-        request_id = self.next_id
-        self.next_id += 1
         with maybe_span(f"net.client.{op}"):
-            request = Request(
-                request_id=request_id,
-                op=op,
-                args=args,
-                trace_ctx=current_context(),
-            )
-            send_message(
-                self.sock,
-                request,
-                max_frame=self.max_frame,
-                max_message=self.max_message,
-            )
+            request_id, wire = self._request(op, args)
+            self._send(wire)
             head = bytearray()
             value_len: int | None = None
             got = 0
@@ -161,14 +204,12 @@ class _PooledConnection:
                 if not isinstance(frame, ChunkFrame):
                     # Whole-frame reply: an error, or a payload small
                     # enough that the server never chunked it.
-                    self.stream_clean = True
-                    value = _check_response(frame, request_id)
+                    value = self._settle(frame, request_id)
                     if not isinstance(value, (bytes, bytearray, memoryview)):
                         raise ProtocolError(
                             f"streamed operation {op!r} returned "
                             f"{type(value).__name__}, expected bytes"
                         )
-                    self.completed += 1
                     yield bytes(value)
                     return
                 if frame.request_id != request_id:
@@ -225,8 +266,7 @@ class _PooledConnection:
                             f"streamed response ended at {got} of "
                             f"{value_len} value bytes"
                         )
-                    self.stream_clean = True
-                    self.completed += 1
+                    self.clean = True
                     return
 
     def close(self) -> None:
@@ -236,7 +276,191 @@ class _PooledConnection:
             pass
 
 
-class StegFSClient:
+class _WireVerbs:
+    """The remote service operations, written once for both clients.
+
+    One method per ``remote=True`` op of ``StegFSService.OPS``, each a
+    single ``return self._call(op, ...)`` that sends the session token
+    first where the op injects a credential, then the op's wire
+    arguments in registry order.  :meth:`StegFSClient._call` performs the
+    exchange and returns the value; :meth:`AsyncStegFSClient._call`
+    returns the awaitable of it — so ``client.steg_read(x)`` and ``await
+    aclient.steg_read(x)`` run the same line, and the annotated return
+    types read "awaitable of" on the async client.
+    """
+
+    _token: bytes | None
+
+    def _call(self, op: str, *args: Any) -> Any:
+        raise NotImplementedError
+
+    def _require_token(self) -> bytes:
+        if self._token is None:
+            raise HandshakeError("not authenticated: call login() first")
+        return self._token
+
+    # ------------------------------------------------------------------
+    # plain namespace
+    # ------------------------------------------------------------------
+
+    def create(self, path: str, data: bytes = b"") -> None:
+        """Create a plain file."""
+        return self._call("create", path, data)
+
+    def read(self, path: str) -> bytes:
+        """Read a plain file."""
+        return self._call("read", path)
+
+    def write(self, path: str, data: bytes) -> None:
+        """Replace a plain file's contents."""
+        return self._call("write", path, data)
+
+    def append(self, path: str, data: bytes) -> None:
+        """Append to a plain file."""
+        return self._call("append", path, data)
+
+    def unlink(self, path: str) -> None:
+        """Delete a plain file."""
+        return self._call("unlink", path)
+
+    def mkdir(self, path: str) -> None:
+        """Create a plain directory."""
+        return self._call("mkdir", path)
+
+    def rmdir(self, path: str) -> None:
+        """Remove an empty plain directory."""
+        return self._call("rmdir", path)
+
+    def listdir(self, path: str = "/") -> list[str]:
+        """List a plain directory."""
+        return self._call("listdir", path)
+
+    def exists(self, path: str) -> bool:
+        """Whether a plain path exists."""
+        return self._call("exists", path)
+
+    def stat(self, path: str) -> FileStat:
+        """Plain file metadata."""
+        return self._call("stat", path)
+
+    def flush(self) -> None:
+        """Persist dirty metadata and flush the server's device stack."""
+        return self._call("flush")
+
+    def dummy_tick(self) -> int | None:
+        """One round of server-side dummy-file churn."""
+        return self._call("dummy_tick")
+
+    # ------------------------------------------------------------------
+    # hidden namespace (token-authenticated; the UAK stays server-side)
+    # ------------------------------------------------------------------
+
+    def steg_create(
+        self,
+        objname: str,
+        data: bytes = b"",
+        objtype: str = "f",
+        owner: str | None = None,
+    ) -> None:
+        """Create a hidden file or directory under the session's key."""
+        return self._call(
+            "steg_create", self._require_token(), objname, objtype, data, owner
+        )
+
+    def steg_read(self, objname: str) -> bytes:
+        """Read a hidden file."""
+        return self._call("steg_read", self._require_token(), objname)
+
+    def steg_read_extent(self, objname: str, offset: int, length: int) -> bytes:
+        """Read one extent of a hidden file."""
+        return self._call(
+            "steg_read_extent", self._require_token(), objname, offset, length
+        )
+
+    def steg_write(self, objname: str, data: bytes) -> None:
+        """Replace a hidden file's contents."""
+        return self._call("steg_write", self._require_token(), objname, data)
+
+    def steg_write_extent(self, objname: str, offset: int, data: bytes) -> None:
+        """Write one extent of a hidden file in place."""
+        return self._call(
+            "steg_write_extent", self._require_token(), objname, offset, data
+        )
+
+    def steg_delete(self, objname: str) -> None:
+        """Delete a hidden object."""
+        return self._call("steg_delete", self._require_token(), objname)
+
+    def steg_list(self, objname: str | None = None) -> list[str]:
+        """List a hidden directory (the key's root by default)."""
+        return self._call("steg_list", self._require_token(), objname)
+
+    def steg_hide(self, pathname: str, objname: str) -> None:
+        """Convert a plain object into a hidden one."""
+        return self._call("steg_hide", self._require_token(), pathname, objname)
+
+    def steg_unhide(self, pathname: str, objname: str) -> None:
+        """Convert a hidden object back into a plain one."""
+        return self._call("steg_unhide", self._require_token(), pathname, objname)
+
+    def steg_revoke(self, objname: str) -> None:
+        """Re-key a hidden object, invalidating outstanding shares."""
+        return self._call("steg_revoke", self._require_token(), objname)
+
+    # ------------------------------------------------------------------
+    # session namespace (steg_connect lifecycle, §4)
+    # ------------------------------------------------------------------
+
+    def connect(self, objname: str) -> None:
+        """``steg_connect``: reveal a hidden object in the session."""
+        return self._call("connect", self._require_token(), objname)
+
+    def disconnect(self, objname: str) -> None:
+        """``steg_disconnect``: hide a connected object again."""
+        return self._call("disconnect", self._require_token(), objname)
+
+    def connected_names(self) -> list[str]:
+        """Names currently visible in the session."""
+        return self._call("connected_names", self._require_token())
+
+    def session_read(self, objname: str) -> bytes:
+        """Read a connected object through the session."""
+        return self._call("session_read", self._require_token(), objname)
+
+    def session_write(self, objname: str, data: bytes) -> None:
+        """Write a connected object through the session."""
+        return self._call("session_write", self._require_token(), objname, data)
+
+    # ------------------------------------------------------------------
+    # observability (read-only admin ops; no authentication required)
+    # ------------------------------------------------------------------
+
+    def obs_metrics(self) -> str:
+        """Text exposition of the server process's metric registry."""
+        return self._call("obs_metrics")
+
+    def obs_slowlog(self, limit: int = 64) -> list[str]:
+        """Newest-first server slow-op records as JSON strings."""
+        return self._call("obs_slowlog", limit)
+
+    def obs_trace(self, trace_id: str = "") -> str:
+        """JSON span document for one server-side trace (or the id list)."""
+        return self._call("obs_trace", trace_id)
+
+    def obs_events(self, limit: int = 64) -> list[str]:
+        """Newest-first server health/probe events as JSON strings."""
+        return self._call("obs_events", limit)
+
+    def obs_snapshot(self) -> str:
+        """The server process's merge-ready telemetry document (JSON)."""
+        return self._call("obs_snapshot")
+
+    def obs_deniability(self) -> str:
+        """The server process's RAM-only deniability stanza (JSON)."""
+        return self._call("obs_deniability")
+
+
+class StegFSClient(_WireVerbs):
     """Blocking remote client with a connection pool for threaded callers.
 
     Each call checks a connection out of the pool, performs one
@@ -244,6 +468,11 @@ class StegFSClient:
     threads can issue operations concurrently without sharing a socket.
     The session token obtained by :meth:`login` is shared by every pooled
     connection (tokens are server-global).
+
+    A socket that died while idle in the pool (server restart, NAT
+    timeout) is found as it is checked out and replaced by a fresh dial,
+    so it costs the caller nothing.  A call whose connection dies or
+    hits ``timeout`` in flight raises once and is never replayed.
     """
 
     def __init__(
@@ -275,13 +504,17 @@ class StegFSClient:
     # ------------------------------------------------------------------
 
     def _acquire(self) -> _PooledConnection:
-        """Check a connection out of the pool (creating up to the cap)."""
+        """Check a live connection out of the pool (creating up to the cap)."""
         if self._closed:
             raise ConnectionClosedError("client has been closed")
-        try:
-            return self._idle.get_nowait()
-        except queue.Empty:
-            pass
+        while True:
+            try:
+                conn = self._idle.get_nowait()
+            except queue.Empty:
+                break
+            if not conn.readable():
+                return conn
+            self._evict(conn)
         create = False
         with self._pool_lock:
             if self._created < self._pool_size:
@@ -320,57 +553,19 @@ class StegFSClient:
         conn = self._acquire()
         try:
             yield conn
-        except (ProtocolError, ConnectionClosedError, OSError):
-            # The stream is desynchronized (or gone): drop the socket
-            # rather than return it to the pool.
-            self._evict(conn)
-            raise
-        except BaseException:
-            # Typed remote errors arrive as a complete, well-framed
-            # exchange — the connection is still healthy, keep it.
-            self._release(conn)
-            raise
-        else:
-            self._release(conn)
-
-    def _exchange(self, fn: "Callable[[_PooledConnection], Any]") -> Any:
-        """Run ``fn`` on a pooled connection, retrying once on staleness.
-
-        A socket that dies while idle in the LIFO pool (server restart,
-        NAT timeout) only reveals itself on the next use.  When a
-        *previously successful* connection raises a transport error, the
-        broken socket has already been evicted by :meth:`_connection`, so
-        one retry lands on a fresh connection.  A brand-new connection's
-        failure is not retried — the server really is unreachable — and
-        :class:`~repro.errors.ProtocolError` is never retried (a
-        desynchronized stream is a bug, not staleness).
-
-        The retry makes delivery at-least-once: if the old socket died
-        *after* the server processed the request but before the reply
-        arrived, the operation runs twice.  Reads, full-state writes and
-        deletes are idempotent; a duplicated ``create`` surfaces as the
-        same typed Exists error a real conflict would raise — callers
-        that must upsert (the cluster's shard backends) catch it and
-        fall back to a write.
-        """
-        for attempt in (0, 1):
-            reused = False
-            try:
-                with self._connection() as conn:
-                    reused = conn.completed > 0
-                    return fn(conn)
-            except (ConnectionClosedError, OSError):
-                if attempt == 0 and reused and not self._closed:
-                    continue
-                raise
+        finally:
+            # Keep the socket only when its last exchange ran to the end:
+            # a typed remote error is a complete, well-framed exchange; a
+            # transport or protocol failure, a timeout or an abandoned
+            # stream leaves frames unread or the peer gone.
+            if conn.clean:
+                self._release(conn)
+            else:
+                self._evict(conn)
 
     def _call(self, op: str, *args: Any) -> Any:
-        return self._exchange(lambda conn: conn.call(op, args))
-
-    def _require_token(self) -> bytes:
-        if self._token is None:
-            raise HandshakeError("not authenticated: call login() first")
-        return self._token
+        with self._connection() as conn:
+            return conn.call(op, args)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -384,16 +579,12 @@ class StegFSClient:
         """HMAC challenge–response handshake; stores only the token.
 
         Both legs run on one pooled connection (challenges are scoped to
-        the connection that issued them); a stale pooled socket is
-        retried once on a fresh connection like any other exchange.
+        the connection that issued them).
         """
-
-        def handshake(conn: _PooledConnection) -> bytes:
+        with self._connection() as conn:
             nonce = conn.call("hello", (user_id,))
             proof = auth_proof(uak, nonce, user_id)
-            return conn.call("authenticate", (user_id, proof))
-
-        self._token = self._exchange(handshake)
+            self._token = conn.call("authenticate", (user_id, proof))
 
     def logout(self) -> None:
         """Close the remote session and forget the token."""
@@ -417,94 +608,6 @@ class StegFSClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # plain namespace
-    # ------------------------------------------------------------------
-
-    def create(self, path: str, data: bytes = b"") -> None:
-        """Create a plain file."""
-        self._call("create", path, data)
-
-    def read(self, path: str) -> bytes:
-        """Read a plain file."""
-        return self._call("read", path)
-
-    def write(self, path: str, data: bytes) -> None:
-        """Replace a plain file's contents."""
-        self._call("write", path, data)
-
-    def append(self, path: str, data: bytes) -> None:
-        """Append to a plain file."""
-        self._call("append", path, data)
-
-    def unlink(self, path: str) -> None:
-        """Delete a plain file."""
-        self._call("unlink", path)
-
-    def mkdir(self, path: str) -> None:
-        """Create a plain directory."""
-        self._call("mkdir", path)
-
-    def rmdir(self, path: str) -> None:
-        """Remove an empty plain directory."""
-        self._call("rmdir", path)
-
-    def listdir(self, path: str = "/") -> list[str]:
-        """List a plain directory."""
-        return self._call("listdir", path)
-
-    def exists(self, path: str) -> bool:
-        """Whether a plain path exists."""
-        return self._call("exists", path)
-
-    def stat(self, path: str) -> FileStat:
-        """Plain file metadata."""
-        return self._call("stat", path)
-
-    def flush(self) -> None:
-        """Persist dirty metadata and flush the server's device stack."""
-        self._call("flush")
-
-    def dummy_tick(self) -> int | None:
-        """One round of server-side dummy-file churn."""
-        return self._call("dummy_tick")
-
-    # ------------------------------------------------------------------
-    # hidden namespace (token-authenticated; the UAK stays server-side)
-    # ------------------------------------------------------------------
-
-    def steg_create(
-        self,
-        objname: str,
-        data: bytes = b"",
-        objtype: str = "f",
-        owner: str | None = None,
-    ) -> None:
-        """Create a hidden file or directory under the session's key."""
-        self._call(
-            "steg_create", self._require_token(), objname, objtype, data, owner
-        )
-
-    def steg_read(self, objname: str) -> bytes:
-        """Read a hidden file."""
-        return self._call("steg_read", self._require_token(), objname)
-
-    def steg_read_extent(self, objname: str, offset: int, length: int) -> bytes:
-        """Read one extent of a hidden file."""
-        return self._call(
-            "steg_read_extent", self._require_token(), objname, offset, length
-        )
-
-    def steg_write(self, objname: str, data: bytes) -> None:
-        """Replace a hidden file's contents."""
-        self._call("steg_write", self._require_token(), objname, data)
-
-    def steg_write_extent(self, objname: str, offset: int, data: bytes) -> None:
-        """Write one extent of a hidden file in place."""
-        self._call(
-            "steg_write_extent", self._require_token(), objname, offset, data
-        )
-
     def steg_read_stream(
         self, objname: str, offset: int = 0, length: int | None = None
     ) -> Iterator[bytes]:
@@ -515,10 +618,11 @@ class StegFSClient:
         never materializes client-side.  ``b"".join(...)`` of the pieces
         equals :meth:`steg_read` / :meth:`steg_read_extent` byte for byte.
 
-        No retry-once here: once bytes have been yielded, replaying the
-        request could silently duplicate a prefix.  A consumer that
-        abandons the iterator mid-stream leaves unread frames on the
-        socket, so the connection is dropped rather than pooled.
+        The one blocking-only verb: it is a second reading of the
+        ``steg_read`` / ``steg_read_extent`` ops, not an op of its own,
+        and the pipelined client reassembles whole replies.  A consumer
+        that abandons the iterator mid-stream leaves unread frames on
+        the socket, so the connection is dropped rather than pooled.
         """
         token = self._require_token()
         if length is None:
@@ -527,97 +631,11 @@ class StegFSClient:
             op, args = "steg_read", (token, objname)
         else:
             op, args = "steg_read_extent", (token, objname, offset, length)
-        conn = self._acquire()
-        try:
+        with self._connection() as conn:
             yield from conn.stream(op, args)
-        except (ProtocolError, ConnectionClosedError, OSError):
-            self._evict(conn)
-            raise
-        except BaseException:
-            # GeneratorExit (abandoned mid-stream) or a typed remote
-            # error: keep the socket only when the exchange fully drained.
-            if conn.stream_clean:
-                self._release(conn)
-            else:
-                self._evict(conn)
-            raise
-        else:
-            self._release(conn)
-
-    def steg_delete(self, objname: str) -> None:
-        """Delete a hidden object."""
-        self._call("steg_delete", self._require_token(), objname)
-
-    def steg_list(self, objname: str | None = None) -> list[str]:
-        """List a hidden directory (the key's root by default)."""
-        return self._call("steg_list", self._require_token(), objname)
-
-    def steg_hide(self, pathname: str, objname: str) -> None:
-        """Convert a plain object into a hidden one."""
-        self._call("steg_hide", self._require_token(), pathname, objname)
-
-    def steg_unhide(self, pathname: str, objname: str) -> None:
-        """Convert a hidden object back into a plain one."""
-        self._call("steg_unhide", self._require_token(), pathname, objname)
-
-    def steg_revoke(self, objname: str) -> None:
-        """Re-key a hidden object, invalidating outstanding shares."""
-        self._call("steg_revoke", self._require_token(), objname)
-
-    # ------------------------------------------------------------------
-    # session namespace (steg_connect lifecycle, §4)
-    # ------------------------------------------------------------------
-
-    def connect(self, objname: str) -> None:
-        """``steg_connect``: reveal a hidden object in the session."""
-        self._call("connect", self._require_token(), objname)
-
-    def disconnect(self, objname: str) -> None:
-        """``steg_disconnect``: hide a connected object again."""
-        self._call("disconnect", self._require_token(), objname)
-
-    def connected_names(self) -> list[str]:
-        """Names currently visible in the session."""
-        return self._call("connected_names", self._require_token())
-
-    def session_read(self, objname: str) -> bytes:
-        """Read a connected object through the session."""
-        return self._call("session_read", self._require_token(), objname)
-
-    def session_write(self, objname: str, data: bytes) -> None:
-        """Write a connected object through the session."""
-        self._call("session_write", self._require_token(), objname, data)
-
-    # ------------------------------------------------------------------
-    # observability (read-only admin ops; no authentication required)
-    # ------------------------------------------------------------------
-
-    def obs_metrics(self) -> str:
-        """Text exposition of the server process's metric registry."""
-        return self._call("obs_metrics")
-
-    def obs_slowlog(self, limit: int = 64) -> list[str]:
-        """Newest-first server slow-op records as JSON strings."""
-        return self._call("obs_slowlog", limit)
-
-    def obs_trace(self, trace_id: str = "") -> str:
-        """JSON span document for one server-side trace (or the id list)."""
-        return self._call("obs_trace", trace_id)
-
-    def obs_events(self, limit: int = 64) -> list[str]:
-        """Newest-first server health/probe events as JSON strings."""
-        return self._call("obs_events", limit)
-
-    def obs_snapshot(self) -> str:
-        """The server process's merge-ready telemetry document (JSON)."""
-        return self._call("obs_snapshot")
-
-    def obs_deniability(self) -> str:
-        """The server process's RAM-only deniability stanza (JSON)."""
-        return self._call("obs_deniability")
 
 
-class _AsyncConn:
+class _AsyncConn(_Connection):
     """One pipelined connection: streams, reader task, pending futures.
 
     Not shared across event loops.  All coordination objects (the write
@@ -627,15 +645,13 @@ class _AsyncConn:
     def __init__(
         self, max_frame: int, max_message: int = DEFAULT_MAX_MESSAGE
     ) -> None:
-        self.max_frame = max_frame
-        self.max_message = max_message
+        super().__init__(max_frame, max_message)
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.reader_task: asyncio.Task | None = None
         self.write_lock = asyncio.Lock()
         self.pending: dict[int, asyncio.Future] = {}
         self.assembler = FrameAssembler(max_message=max_message)
-        self.next_id = 1
         self.dead_error: Exception | None = None
 
     async def open(self, host: str, port: int) -> None:
@@ -658,16 +674,14 @@ class _AsyncConn:
                 future = self.pending.pop(frame.request_id, None)
                 if future is None or future.done():
                     continue
-                if isinstance(frame, ErrorFrame):
-                    future.set_exception(error_to_exception(frame))
-                elif isinstance(frame, Response):
-                    future.set_result(frame.value)
+                try:
+                    value, failure = settle(frame, frame.request_id)
+                except ProtocolError as exc:
+                    value, failure = None, exc
+                if failure is None:
+                    future.set_result(value)
                 else:
-                    future.set_exception(
-                        ProtocolError(
-                            f"expected a RESPONSE frame, got {type(frame).__name__}"
-                        )
-                    )
+                    future.set_exception(failure)
         except asyncio.CancelledError:
             error = ConnectionClosedError("client closed the connection")
         except Exception as exc:
@@ -687,21 +701,10 @@ class _AsyncConn:
             # newly registered future, so fail now with the original cause.
             raise type(self.dead_error)(str(self.dead_error))
         assert self.writer is not None
-        request_id = self.next_id
-        self.next_id += 1
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self.pending[request_id] = future
         with maybe_span(f"net.client.{op}"):
-            wire = encode_message_vectored(
-                Request(
-                    request_id=request_id,
-                    op=op,
-                    args=args,
-                    trace_ctx=current_context(),
-                ),
-                max_frame=self.max_frame,
-                max_message=self.max_message,
-            )
+            request_id, wire = self._request(op, args)
+            future: asyncio.Future = asyncio.get_running_loop().create_future()
+            self.pending[request_id] = future
             for buffers in wire:
                 # Lock per wire frame: chunks of a large streamed request
                 # interleave with other calls instead of blocking them.
@@ -728,7 +731,7 @@ class _AsyncConn:
             self.reader = None
 
 
-class AsyncStegFSClient:
+class AsyncStegFSClient(_WireVerbs):
     """Asyncio remote client: pipelined request ids over a connection pool.
 
     Usage::
@@ -750,8 +753,8 @@ class AsyncStegFSClient:
     Like the blocking client's pool, this one survives a server restart:
     once every pooled connection has died, the next call redials the
     pool.  The call that was in flight when the connection died still
-    fails, and a session token issued by the old server process does
-    not carry over: :meth:`login` again.
+    fails — nothing is replayed — and a session token issued by the old
+    server process does not carry over: :meth:`login` again.
 
     Not thread-safe: one instance belongs to one event loop.  Threaded
     callers want :class:`StegFSClient`.
@@ -783,11 +786,6 @@ class AsyncStegFSClient:
         self._rr = 0
         self._redial_lock = asyncio.Lock()
         self._token: bytes | None = None
-
-    @property
-    def _reader_task(self) -> asyncio.Task | None:
-        # Back-compat peek used by tests: the first connection's reader.
-        return self._conns[0].reader_task if self._conns else None
 
     async def open(self) -> "AsyncStegFSClient":
         """Connect every pooled socket and start its dispatch task."""
@@ -849,11 +847,6 @@ class AsyncStegFSClient:
     async def _call(self, op: str, *args: Any) -> Any:
         return await (await self._live_conn()).call(op, args)
 
-    def _require_token(self) -> bytes:
-        if self._token is None:
-            raise HandshakeError("not authenticated: call login() first")
-        return self._token
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -886,166 +879,6 @@ class AsyncStegFSClient:
         conns, self._conns = self._conns, []
         for conn in conns:
             await conn.close()
-
-    # ------------------------------------------------------------------
-    # plain namespace
-    # ------------------------------------------------------------------
-
-    async def create(self, path: str, data: bytes = b"") -> None:
-        """Create a plain file."""
-        await self._call("create", path, data)
-
-    async def read(self, path: str) -> bytes:
-        """Read a plain file."""
-        return await self._call("read", path)
-
-    async def write(self, path: str, data: bytes) -> None:
-        """Replace a plain file's contents."""
-        await self._call("write", path, data)
-
-    async def append(self, path: str, data: bytes) -> None:
-        """Append to a plain file."""
-        await self._call("append", path, data)
-
-    async def unlink(self, path: str) -> None:
-        """Delete a plain file."""
-        await self._call("unlink", path)
-
-    async def mkdir(self, path: str) -> None:
-        """Create a plain directory."""
-        await self._call("mkdir", path)
-
-    async def rmdir(self, path: str) -> None:
-        """Remove an empty plain directory."""
-        await self._call("rmdir", path)
-
-    async def listdir(self, path: str = "/") -> list[str]:
-        """List a plain directory."""
-        return await self._call("listdir", path)
-
-    async def exists(self, path: str) -> bool:
-        """Whether a plain path exists."""
-        return await self._call("exists", path)
-
-    async def stat(self, path: str) -> FileStat:
-        """Plain file metadata."""
-        return await self._call("stat", path)
-
-    async def flush(self) -> None:
-        """Persist dirty metadata and flush the server's device stack."""
-        await self._call("flush")
-
-    async def dummy_tick(self) -> int | None:
-        """One round of server-side dummy-file churn."""
-        return await self._call("dummy_tick")
-
-    # ------------------------------------------------------------------
-    # hidden namespace
-    # ------------------------------------------------------------------
-
-    async def steg_create(
-        self,
-        objname: str,
-        data: bytes = b"",
-        objtype: str = "f",
-        owner: str | None = None,
-    ) -> None:
-        """Create a hidden file or directory under the session's key."""
-        await self._call(
-            "steg_create", self._require_token(), objname, objtype, data, owner
-        )
-
-    async def steg_read(self, objname: str) -> bytes:
-        """Read a hidden file."""
-        return await self._call("steg_read", self._require_token(), objname)
-
-    async def steg_read_extent(self, objname: str, offset: int, length: int) -> bytes:
-        """Read one extent of a hidden file."""
-        return await self._call(
-            "steg_read_extent", self._require_token(), objname, offset, length
-        )
-
-    async def steg_write(self, objname: str, data: bytes) -> None:
-        """Replace a hidden file's contents."""
-        await self._call("steg_write", self._require_token(), objname, data)
-
-    async def steg_write_extent(self, objname: str, offset: int, data: bytes) -> None:
-        """Write one extent of a hidden file in place."""
-        await self._call(
-            "steg_write_extent", self._require_token(), objname, offset, data
-        )
-
-    async def steg_delete(self, objname: str) -> None:
-        """Delete a hidden object."""
-        await self._call("steg_delete", self._require_token(), objname)
-
-    async def steg_list(self, objname: str | None = None) -> list[str]:
-        """List a hidden directory (the key's root by default)."""
-        return await self._call("steg_list", self._require_token(), objname)
-
-    async def steg_hide(self, pathname: str, objname: str) -> None:
-        """Convert a plain object into a hidden one."""
-        await self._call("steg_hide", self._require_token(), pathname, objname)
-
-    async def steg_unhide(self, pathname: str, objname: str) -> None:
-        """Convert a hidden object back into a plain one."""
-        await self._call("steg_unhide", self._require_token(), pathname, objname)
-
-    async def steg_revoke(self, objname: str) -> None:
-        """Re-key a hidden object, invalidating outstanding shares."""
-        await self._call("steg_revoke", self._require_token(), objname)
-
-    # ------------------------------------------------------------------
-    # session namespace
-    # ------------------------------------------------------------------
-
-    async def connect(self, objname: str) -> None:
-        """``steg_connect``: reveal a hidden object in the session."""
-        await self._call("connect", self._require_token(), objname)
-
-    async def disconnect(self, objname: str) -> None:
-        """``steg_disconnect``: hide a connected object again."""
-        await self._call("disconnect", self._require_token(), objname)
-
-    async def connected_names(self) -> list[str]:
-        """Names currently visible in the session."""
-        return await self._call("connected_names", self._require_token())
-
-    async def session_read(self, objname: str) -> bytes:
-        """Read a connected object through the session."""
-        return await self._call("session_read", self._require_token(), objname)
-
-    async def session_write(self, objname: str, data: bytes) -> None:
-        """Write a connected object through the session."""
-        await self._call("session_write", self._require_token(), objname, data)
-
-    # ------------------------------------------------------------------
-    # observability (read-only admin ops; no authentication required)
-    # ------------------------------------------------------------------
-
-    async def obs_metrics(self) -> str:
-        """Text exposition of the server process's metric registry."""
-        return await self._call("obs_metrics")
-
-    async def obs_slowlog(self, limit: int = 64) -> list[str]:
-        """Newest-first server slow-op records as JSON strings."""
-        return await self._call("obs_slowlog", limit)
-
-    async def obs_trace(self, trace_id: str = "") -> str:
-        """JSON span document for one server-side trace (or the id list)."""
-        return await self._call("obs_trace", trace_id)
-
-    async def obs_events(self, limit: int = 64) -> list[str]:
-        """Newest-first server health/probe events as JSON strings."""
-        return await self._call("obs_events", limit)
-
-    async def obs_snapshot(self) -> str:
-        """The server process's merge-ready telemetry document (JSON)."""
-        return await self._call("obs_snapshot")
-
-    async def obs_deniability(self) -> str:
-        """The server process's RAM-only deniability stanza (JSON)."""
-        return await self._call("obs_deniability")
 
 
 def fetch_hidden(host: str, port: int, user_id: str, uak: bytes, objname: str) -> bytes:

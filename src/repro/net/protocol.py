@@ -77,7 +77,7 @@ import asyncio
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import repro.errors as errors_mod
 from repro.crypto.hmac import hmac_sha256
@@ -113,11 +113,7 @@ __all__ = [
     "exception_to_frame",
     "read_frame",
     "read_message",
-    "recv_frame",
-    "send_frame",
-    "send_message",
     "sendmsg_all",
-    "write_message",
 ]
 
 #: Default per-frame ceiling (8 MiB): bounds a connection's buffering per
@@ -502,7 +498,7 @@ def _too_large(body_len: int, max_frame: int) -> FrameTooLargeError:
     return FrameTooLargeError(
         f"frame body of {body_len} bytes exceeds the {max_frame}-byte limit; "
         f"payloads beyond it must stream as CHUNK frames "
-        f"(send_message/encode_message_vectored)"
+        f"(encode_message_vectored)"
     )
 
 
@@ -851,46 +847,6 @@ async def read_message(
         return decode_frame(body, zero_copy=zero_copy)
 
 
-async def write_message(
-    writer: asyncio.StreamWriter,
-    frame: Frame,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    max_message: int = DEFAULT_MAX_MESSAGE,
-) -> int:
-    """Vectored, chunked send on an asyncio stream; returns frames written.
-
-    Callers that interleave writers serialize externally (see the server's
-    per-connection write lock, taken per wire frame so a long stream does
-    not starve unrelated responses).
-    """
-    wire = encode_message_vectored(frame, max_frame=max_frame, max_message=max_message)
-    for buffers in wire:
-        writer.writelines(buffers)
-        await writer.drain()
-    return len(wire)
-
-
-def _recv_exactly(sock: socket.socket, n: int) -> bytearray | None:
-    """Read exactly ``n`` bytes into one preallocated buffer.
-
-    ``recv_into`` against a single ``bytearray`` — no chunk list, no
-    join; partial reads advance a view into the same allocation.
-    Returns ``None`` on EOF before the first byte.
-    """
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        read = sock.recv_into(view[got:])
-        if read == 0:
-            if got == 0:
-                return None
-            raise ProtocolError("connection dropped mid-frame")
-        got += read
-    return buf
-
-
 class _RecvBuffer:
     """A reusable, grow-only receive buffer for one blocking connection."""
 
@@ -975,19 +931,6 @@ class FrameReceiver:
                 return decode_frame(assembled, zero_copy=zero_copy)
 
 
-def recv_frame(sock: socket.socket, max_frame: int = DEFAULT_MAX_FRAME) -> Frame:
-    """Read one frame from a blocking socket; typed error on EOF."""
-    header = _recv_exactly(sock, 4)
-    if header is None:
-        raise ConnectionClosedError("server closed the connection")
-    length = _LEN.unpack(header)[0]
-    _check_length(length, max_frame)
-    body = _recv_exactly(sock, length)
-    if body is None:
-        raise ProtocolError("connection dropped mid-frame")
-    return decode_frame(body)
-
-
 #: Iovec batch size per sendmsg call (IOV_MAX is ~1024 on Linux; stay
 #: far under it — coalesced frames rarely exceed a handful of buffers).
 _SENDMSG_BATCH = 64
@@ -1015,40 +958,3 @@ def sendmsg_all(sock: socket.socket, buffers: list) -> None:
             else:
                 views[0] = views[0][sent:]
                 sent = 0
-
-
-def send_frame(
-    sock: socket.socket, frame: Frame, max_frame: int = DEFAULT_MAX_FRAME
-) -> None:
-    """Serialize and send one frame on a blocking socket (vectored)."""
-    sendmsg_all(sock, encode_frame_vectored(frame, max_frame))
-
-
-def send_message(
-    sock: socket.socket,
-    frame: Frame,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    max_message: int = DEFAULT_MAX_MESSAGE,
-) -> int:
-    """Vectored, chunked send of one logical frame; returns frames sent."""
-    wire = encode_message_vectored(frame, max_frame=max_frame, max_message=max_message)
-    for buffers in wire:
-        sendmsg_all(sock, buffers)
-    return len(wire)
-
-
-def iter_wire_frames(
-    frame: Frame,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    max_message: int = DEFAULT_MAX_MESSAGE,
-) -> Iterator[list]:
-    """Iterate a logical frame's wire frames (buffer lists), in order.
-
-    Convenience over :func:`encode_message_vectored` for senders that
-    interleave other traffic between chunks.
-    """
-    yield from encode_message_vectored(
-        frame, max_frame=max_frame, max_message=max_message
-    )

@@ -53,8 +53,9 @@ class TestFailedWriteDoesNotPoisonVersionCache:
 
 class TestUpsertToleratesDuplicateCreate:
     def test_steg_put_converges_when_object_appears_concurrently(self):
-        """The at-least-once retry can deliver a create twice; the upsert
-        must fall back to a write instead of surfacing Exists."""
+        """A concurrent repair or a second coordinator can create the object
+        between the legs; the upsert must fall back to a write instead of
+        surfacing Exists."""
 
         class FlakyService:
             """steg_write says NotFound once, then the create collides."""

@@ -1,20 +1,26 @@
-"""Pooled-connection staleness: evict broken sockets, retry once, transparently.
+"""Pooled-connection staleness and the one failure policy: at most once.
 
-A connection that dies while idle in the LIFO pool (server restart being
-the canonical cause) used to surface a raw socket error on its next use.
-The client now evicts the broken socket and replays the exchange once on
-a fresh connection.  The asyncio client redials its dead pool on the
-next call instead — which is what lets a restarted remote shard rejoin a
-cluster through :class:`~repro.cluster.aio.AsyncRemoteShard`.
+A connection that dies while idle in the pool (server restart being the
+canonical cause) is found *before* the next request is sent — the
+blocking pool tests a socket as it leaves the idle queue, the asyncio
+pool skips connections whose reader has exited and redials once all are
+gone, which is what lets a restarted remote shard rejoin a cluster
+through :class:`~repro.cluster.aio.AsyncRemoteShard` — so it costs the
+caller nothing.  A call whose connection dies or times out *in flight*
+raises its typed error once and is never replayed: a mutation whose
+reply is lost is applied at most once, on both clients, and the next
+call dials fresh.  A request refused locally leaves no state behind.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 
-from repro.errors import ConnectionClosedError
+from repro.errors import ConnectionClosedError, FrameTooLargeError
 from repro.net.client import AsyncStegFSClient, StegFSClient
 from repro.net.server import start_in_thread
 
@@ -34,7 +40,7 @@ class TestStaleEviction:
         with StegFSClient(*address) as client:
             assert client.ping()  # pools one healthy connection
             _break_idle_connection(client)
-            assert client.ping()  # evict + retry on a fresh socket
+            assert client.ping()  # found dead at checkout: evict, dial fresh
 
     def test_operations_retry_too(self, address):
         with StegFSClient(*address) as client:
@@ -60,7 +66,7 @@ class TestStaleEviction:
             assert client._created == 1
 
     def test_repeated_failure_still_raises(self, address):
-        """Retry is once: a second consecutive transport death surfaces."""
+        """A server that cannot be reached surfaces, and poisons no other client."""
         with StegFSClient(*address) as client:
             assert client.ping()
             server_gone = StegFSClient(address[0], 1, timeout=0.5)
@@ -70,7 +76,7 @@ class TestStaleEviction:
 
     def test_fresh_connection_failure_not_retried(self):
         """A brand-new connection that cannot reach the server fails fast
-        (connection refused), with no retry storm."""
+        (connection refused)."""
         client = StegFSClient("127.0.0.1", 1, timeout=0.5)
         with pytest.raises(OSError):
             client.ping()
@@ -98,8 +104,7 @@ class TestServerRestart:
             handle.stop()
 
     def test_async_client_redials_after_server_restart(self, service):
-        """The async pool has no retry-once: the call that meets the
-        outage fails, the next one redials."""
+        """The call that meets the outage fails, the next one redials."""
         handle = start_in_thread(service, credentials={USER: UAK})
         host, port = handle.address
 
@@ -108,7 +113,7 @@ class TestServerRestart:
             async with AsyncStegFSClient(host, port, pool_size=2) as client:
                 await client.create("/kept", b"across the restart")
                 handle.stop()
-                await asyncio.wait_for(client._reader_task, timeout=30)
+                await asyncio.wait_for(client._conns[0].reader_task, timeout=30)
                 with pytest.raises(ConnectionClosedError):
                     await client.ping()
                 handle = start_in_thread(
@@ -133,3 +138,103 @@ class TestServerRestart:
                 client.ping()
         finally:
             client.close()
+
+
+class TestAtMostOnce:
+    """A mutation whose reply is lost is applied at most once."""
+
+    def test_lost_reply_is_not_replayed(self, address, kill_switch_proxy):
+        proxy = kill_switch_proxy(address)
+        with StegFSClient(*proxy.address) as client, StegFSClient(*address) as direct:
+            client.create("/log", b"A")  # the socket has carried an exchange
+            proxy.arm(0, client_to_server=False)
+            with pytest.raises((ConnectionClosedError, OSError)):
+                client.append("/log", b"B")
+            assert direct.read("/log") == b"AB"
+            # The next call dials fresh, inside the pool's bound.
+            proxy.disarm()
+            assert client.read("/log") == b"AB"
+            assert client._created == 1
+
+    def test_slow_reply_times_out_once(self, address, service, monkeypatch):
+        applied = []
+        first_done = threading.Event()
+        append = service.append
+
+        def slow_append(path, data):
+            applied.append(data)
+            time.sleep(0.6)  # longer than the client waits
+            append(path, data)
+            first_done.set()
+
+        monkeypatch.setattr(service, "append", slow_append)
+        with StegFSClient(*address, timeout=0.2) as client:
+            client.create("/log", b"A")
+            with pytest.raises(TimeoutError):
+                client.append("/log", b"B")
+            # A replay would have reached the server well before the
+            # first application finished.
+            assert first_done.wait(timeout=30)
+            assert applied == [b"B"]
+            assert client.read("/log") == b"AB"
+            assert client._created == 1
+
+    def test_async_lost_reply_is_not_replayed(self, address, kill_switch_proxy):
+        """The pipelined client has no socket timeout; the policy is shared."""
+        proxy = kill_switch_proxy(address)
+
+        async def scenario() -> bytes:
+            async with AsyncStegFSClient(*proxy.address) as client:
+                await client.create("/log", b"A")
+                proxy.arm(0, client_to_server=False)
+                with pytest.raises((ConnectionClosedError, OSError)):
+                    await client.append("/log", b"B")
+                proxy.disarm()
+                return await client.read("/log")  # redials
+
+        assert asyncio.run(scenario()) == b"AB"
+        with StegFSClient(*address) as direct:
+            assert direct.read("/log") == b"AB"
+
+
+class TestRefusedRequestLeavesNoState:
+    """Only a broken exchange costs a connection; a refusal costs nothing."""
+
+    def test_async_local_refusal_registers_nothing(self, address):
+        unretrieved = []
+
+        async def scenario() -> None:
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: unretrieved.append(ctx))
+            client = AsyncStegFSClient(*address, max_frame=4096, max_message=8192)
+            await client.open()
+            with pytest.raises(FrameTooLargeError):
+                await client.create("/big", b"x" * 100_000)
+            assert client._conns[0].pending == {}
+            assert await client.ping()
+            await client.close()
+
+        asyncio.run(scenario())
+        assert unretrieved == []
+
+    def test_local_refusal_keeps_the_socket(self, address):
+        with StegFSClient(*address, max_frame=4096, max_message=8192) as client:
+            assert client.ping()
+            (conn,) = client._idle.queue
+            with pytest.raises(FrameTooLargeError):
+                client.create("/big", b"x" * 100_000)
+            assert client.ping()
+            assert list(client._idle.queue) == [conn]
+            assert client._created == 1
+
+    def test_remote_protocol_error_keeps_the_socket(self, address):
+        """A typed *remote* error is a complete exchange even when its
+        class subclasses ProtocolError, the local desynchronization signal."""
+        with StegFSClient(*address, max_frame=1024) as client:
+            assert client.ping()
+            (conn,) = client._idle.queue
+            with pytest.raises(FrameTooLargeError, match="does not accept"):
+                client.mkdir("/" + "d" * 4096)
+            assert client.ping()
+            assert list(client._idle.queue) == [conn]
+            assert client._created == 1

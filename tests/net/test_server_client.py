@@ -19,7 +19,12 @@ from repro.errors import (
 )
 from repro.fs.inode import FileType
 from repro.net.client import AsyncStegFSClient, StegFSClient
-from repro.net.protocol import Request, recv_frame, send_frame
+from repro.net.protocol import (
+    FrameReceiver,
+    Request,
+    encode_frame_vectored,
+    sendmsg_all,
+)
 
 # Must match the credentials tests/net/conftest.py registers on the server.
 USER = "alice"
@@ -191,7 +196,7 @@ class TestDispatchHardening:
         host, port = address
         with socket.create_connection((host, port), timeout=10) as sock:
             sock.sendall(struct.pack("<I", 512 * 1024 * 1024))
-            frame = recv_frame(sock)
+            frame = FrameReceiver().recv_message(sock)
         from repro.net.protocol import ErrorFrame
 
         assert isinstance(frame, ErrorFrame)
@@ -231,10 +236,12 @@ class TestDispatchHardening:
     def test_garbage_frame_gets_protocol_error(self, address):
         host, port = address
         with socket.create_connection((host, port), timeout=10) as sock:
-            send_frame(sock, Request(request_id=1, op="ping", args=()))
-            recv_frame(sock)  # healthy exchange first
+            receiver = FrameReceiver()
+            ping = Request(request_id=1, op="ping", args=())
+            sendmsg_all(sock, encode_frame_vectored(ping))
+            receiver.recv_message(sock)  # healthy exchange first
             sock.sendall(struct.pack("<I", 3) + b"\xff\xff\xff")
-            frame = recv_frame(sock)
+            frame = receiver.recv_message(sock)
         from repro.net.protocol import ErrorFrame
 
         assert isinstance(frame, ErrorFrame)
@@ -367,7 +374,7 @@ class TestReviewRegressions:
             server.stop()  # kills the server and every live connection
             # Wait for the reader task to observe the close, then a new
             # call must fail immediately rather than await forever.
-            await asyncio.wait_for(client._reader_task, timeout=30)
+            await asyncio.wait_for(client._conns[0].reader_task, timeout=30)
             with pytest.raises(ConnectionClosedError):
                 await asyncio.wait_for(client.ping(), timeout=30)
             await client.close()

@@ -86,7 +86,11 @@ def test_32mib_roundtrip_through_every_client():
             trace_id = span.trace_id
 
             # -- blocking client ---------------------------------------
-            with StegFSClient(*sync_srv.address) as sync_client:
+            # No socket timeout on the bulk leg: the default 30 s is an
+            # inactivity bound, and the server is silent for as long as
+            # sealing 32 MiB in pure Python takes (8 s here, more than
+            # 30 s on a slow box).
+            with StegFSClient(*sync_srv.address, timeout=None) as sync_client:
                 sync_client.login(USER, UAK)
                 sync_client.steg_create("big", data=payload)
                 assert sync_client.steg_read("big") == payload

@@ -8,6 +8,8 @@ import pytest
 
 import repro
 import repro.cluster
+import repro.net.client
+import repro.net.protocol
 import repro.storage
 
 
@@ -24,6 +26,25 @@ def test_threaded_cluster_plane_is_gone():
     for name in ("ClusterClient", "RemoteShard", "ServiceShard", "ShardBackend"):
         assert not hasattr(repro, name)
         assert not hasattr(repro.cluster, name)
+
+
+def test_one_wire_client():
+    for name in (
+        "write_message",
+        "iter_wire_frames",
+        "recv_frame",
+        "send_frame",
+        "send_message",
+        "_recv_exactly",
+    ):
+        assert not hasattr(repro.net.protocol, name)
+    client = repro.net.client
+    assert not hasattr(client.StegFSClient, "_exchange")
+    assert not hasattr(client.AsyncStegFSClient, "_reader_task")
+    for verb in (n for n, spec in repro.StegFSService.OPS.items() if spec.remote):
+        assert verb in vars(client._WireVerbs)
+        assert verb not in vars(client.StegFSClient)
+        assert verb not in vars(client.AsyncStegFSClient)
 
 
 def test_retired_measurement_estate_is_gone():

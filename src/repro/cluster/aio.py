@@ -31,6 +31,14 @@ task, never a thread:
   callers: a thin wrapper that submits each call to one
   :class:`AsyncClusterClient` on a private event-loop thread.
 
+One object path: to the coordinator a plain file and a hidden file are
+the same thing, a versioned fragment per placement shard.  What differs
+— ring key, the shard calls that carry the fragment, the typed errors
+for *missing* / *exists*, whether the mode may disperse it — is one
+:class:`_Subject`, and write, read, delete, the union listing and the
+rebalancer's ``fetch`` / ``store_at`` / ``purge`` are each written once
+over it; the public verbs of both namespaces are shells.
+
 Read semantics, recorded once: a read issues the legs it **needs** —
 one replica, or ``ida_m`` shares — and adds a leg only for a reason.  A
 finished leg that leaves the verdict short (shard down, object missing,
@@ -221,6 +229,28 @@ class _ReadVerdict:
     stale: list[str] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _Subject:
+    """One object of either namespace: all a plain and a hidden file differ in.
+
+    Built by :meth:`AsyncClusterClient.plain` / :meth:`AsyncClusterClient.hidden`;
+    a path that takes one stops knowing which namespace it serves.  Error
+    text names ``kind`` and ``what`` (the caller's name for it), never
+    ``key`` — a hidden key carries the UAK's hash tag.
+    """
+
+    key: str
+    kind: str
+    what: str
+    fetch: _ShardCall
+    probe: _ShardCall
+    put: _ShardPut
+    delete: _ShardCall
+    missing: type[ReproError]
+    exists: type[ReproError]
+    dispersed: bool = False
+
+
 @runtime_checkable
 class AsyncShardBackend(Protocol):
     """What the coordinator needs from one shard (awaitable)."""
@@ -236,10 +266,6 @@ class AsyncShardBackend(Protocol):
 
     async def read(self, path: str) -> bytes:  # pragma: no cover - protocol
         """Read a plain file's full contents."""
-        ...
-
-    async def exists(self, path: str) -> bool:  # pragma: no cover - protocol
-        """Whether a plain file exists at ``path``."""
         ...
 
     async def unlink(self, path: str) -> None:  # pragma: no cover - protocol
@@ -289,7 +315,7 @@ class AsyncShardBackend(Protocol):
 
 
 class _ShardVerbs:
-    """The shard verbs and the two upsert ladders, once for both adapters.
+    """The shard verbs and the one upsert ladder, once for both adapters.
 
     Each verb names a service operation and its arguments by keyword;
     the adapter's one hook, :meth:`_call`, carries that to the volume —
@@ -301,30 +327,40 @@ class _ShardVerbs:
     async def _call(self, op: str, uak: bytes | None = None, **kwargs: Any) -> Any:
         raise NotImplementedError
 
-    # plain namespace -------------------------------------------------
-
-    async def put(self, path: str, data: bytes) -> None:
-        """Upsert a plain file (write, falling back to create).
+    async def _upsert(
+        self,
+        write_op: str,
+        create_op: str,
+        missing: type[ReproError],
+        exists: type[ReproError],
+        uak: bytes | None = None,
+        **kwargs: Any,
+    ) -> None:
+        """Write, falling back to create — the ladder under both ``put`` verbs.
 
         The create leg tolerates Exists and re-writes — a concurrent
-        repair or a second coordinator may have created the file in
+        repair or a second coordinator may have created the object in
         between, and an upsert must converge on the newest payload.
         """
         try:
-            await self._call("write", path=path, data=data)
-        except FileNotFoundError_:
+            await self._call(write_op, uak, **kwargs)
+        except missing:
             try:
-                await self._call("create", path=path, data=data)
-            except FileExistsError_:
-                await self._call("write", path=path, data=data)
+                await self._call(create_op, uak, **kwargs)
+            except exists:
+                await self._call(write_op, uak, **kwargs)
+
+    # plain namespace -------------------------------------------------
+
+    async def put(self, path: str, data: bytes) -> None:
+        """Upsert a plain file (write, falling back to create)."""
+        await self._upsert(
+            "write", "create", FileNotFoundError_, FileExistsError_, path=path, data=data
+        )
 
     async def read(self, path: str) -> bytes:
         """Read a plain file."""
         return await self._call("read", path=path)
-
-    async def exists(self, path: str) -> bool:
-        """Whether a plain path exists on this shard."""
-        return await self._call("exists", path=path)
 
     async def unlink(self, path: str) -> None:
         """Delete a plain file."""
@@ -338,13 +374,15 @@ class _ShardVerbs:
 
     async def steg_put(self, objname: str, uak: bytes, data: bytes) -> None:
         """Upsert a hidden file (write, falling back to create)."""
-        try:
-            await self._call("steg_write", uak, objname=objname, data=data)
-        except HiddenObjectNotFoundError:
-            try:
-                await self._call("steg_create", uak, objname=objname, data=data)
-            except HiddenObjectExistsError:
-                await self._call("steg_write", uak, objname=objname, data=data)
+        await self._upsert(
+            "steg_write",
+            "steg_create",
+            HiddenObjectNotFoundError,
+            HiddenObjectExistsError,
+            uak,
+            objname=objname,
+            data=data,
+        )
 
     async def steg_read(self, objname: str, uak: bytes) -> bytes:
         """Read a hidden file."""
@@ -1105,26 +1143,20 @@ class AsyncClusterClient:
         }
 
     async def _store(
-        self,
-        key: str,
-        placement: tuple[str, ...],
-        version: int,
-        data: bytes,
-        put: _ShardPut,
-        dispersed: bool = False,
+        self, subject: _Subject, placement: tuple[str, ...], version: int, data: bytes
     ) -> None:
         """One fragment per alive placement shard, early-acked at quorum."""
-        envelopes = self._envelopes(placement, version, data, dispersed)
+        envelopes = self._envelopes(placement, version, data, subject.dispersed)
         tasks = self._spawn(
             self._alive(placement),
-            lambda sid, backend: put(sid, backend, envelopes[sid]),
+            lambda sid, backend: subject.put(sid, backend, envelopes[sid]),
         )
         n = len(placement)
-        if dispersed:
+        if subject.dispersed:
             quorum, what = max(self._ida_m, min(self._ida_write_quorum, n)), "dispersal"
         else:
             quorum, what = min(self._write_quorum, n), "write"
-        await self._store_quorum(key, version, tasks, n, quorum, what)
+        await self._store_quorum(subject.key, version, tasks, n, quorum, what)
 
     # ------------------------------------------------------------------
     # reads: the legs a read needs, then one more for a reason
@@ -1140,15 +1172,7 @@ class AsyncClusterClient:
         return self._read_leg_hist.percentile(99.0) / 1000.0
 
     async def _read(
-        self,
-        key: str,
-        placement: tuple[str, ...],
-        fetch: _ShardCall,
-        missing_error: type[ReproError],
-        what: str,
-        *,
-        dispersed: bool = False,
-        newest_of_all: bool = False,
+        self, subject: _Subject, placement: tuple[str, ...], *, newest_of_all: bool = False
     ) -> _ReadVerdict:
         """The one read launch loop (replicate, ida, plain, rebalancer).
 
@@ -1162,6 +1186,7 @@ class AsyncClusterClient:
         whole alive placement in wave one and takes the newest intact
         version.  Only legs that finished are judged stale.
         """
+        key = subject.key
         queue = self._alive(placement)
         entry = self._ackers.get(key)
         min_version = _NEWEST_OF_ALL if newest_of_all else self._acked_version(key)
@@ -1170,7 +1195,7 @@ class AsyncClusterClient:
         floor = self._version_floor(key)
         state = (
             _ShareVerdict(floor, min_version, self._ida_m)
-            if dispersed
+            if subject.dispersed
             else _ReplicaVerdict(floor, min_version)
         )
         legs: dict[asyncio.Task, tuple[str, float]] = {}
@@ -1180,7 +1205,7 @@ class AsyncClusterClient:
             wave = queue[: max(0, count)]
             del queue[: len(wave)]
             now = time.perf_counter()
-            for task, shard_id in self._spawn(wave, fetch).items():
+            for task, shard_id in self._spawn(wave, subject.fetch).items():
                 legs[task] = (shard_id, now)
                 pending.add(task)
             if wave:
@@ -1216,8 +1241,8 @@ class AsyncClusterClient:
             for task in pending:
                 task.cancel()
             await asyncio.gather(*pending, return_exceptions=True)
-        data, version = state.decided or state.settle(missing_error, what)
-        if dispersed:
+        data, version = state.decided or state.settle(subject.missing, subject.what)
+        if subject.dispersed:
             self._stats.increment("async.reconstructions")
         stale = [
             shard_id
@@ -1227,15 +1252,7 @@ class AsyncClusterClient:
         ]
         return _ReadVerdict(data=data, version=version, stale=stale)
 
-    async def _read_repairing(
-        self,
-        key: str,
-        fetch: _ShardCall,
-        put: _ShardPut,
-        missing_error: type[ReproError],
-        what: str,
-        dispersed: bool = False,
-    ) -> bytes:
+    async def _read_repairing(self, subject: _Subject) -> bytes:
         """A client read: :meth:`_read`, then heal what it found or knew.
 
         Repair targets are the legs that came back stale plus the alive
@@ -1244,10 +1261,9 @@ class AsyncClusterClient:
         under the key lock, at no extra read leg, and then recorded as
         holders.
         """
+        key = subject.key
         placement = self.placement(key)
-        verdict = await self._read(
-            key, placement, fetch, missing_error, what, dispersed=dispersed
-        )
+        verdict = await self._read(subject, placement)
         self._observe_version(key, verdict.version)
         if verdict.stale or self._lagging(key, placement, verdict.version):
             async with self._locked(key):
@@ -1260,10 +1276,11 @@ class AsyncClusterClient:
                         + self._lagging(key, placement, verdict.version)
                     )
                     envelopes = self._envelopes(
-                        placement, verdict.version, verdict.data, dispersed
+                        placement, verdict.version, verdict.data, subject.dispersed
                     )
                     outcomes = await self._fanout(
-                        targets, lambda sid, backend: put(sid, backend, envelopes[sid])
+                        targets,
+                        lambda sid, backend: subject.put(sid, backend, envelopes[sid]),
                     )
                     repaired = [sid for sid, outcome in outcomes.items() if outcome.ok]
                     if repaired:
@@ -1273,81 +1290,112 @@ class AsyncClusterClient:
         return verdict.data
 
     # ------------------------------------------------------------------
-    # plain namespace (always replicated)
+    # one object path: the subject, and each verb's body once
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _plain_put(path: str) -> _ShardPut:
-        return lambda sid, backend, envelope: backend.put(path, envelope)
-
-    @staticmethod
-    def _plain_probe(path: str) -> _ShardCall:
-        return lambda sid, backend: backend.read(path)
-
-    async def create(self, path: str, data: bytes = b"") -> None:
-        """Create a plain file across its placement (early-acked W-of-N)."""
-        key = plain_key(path)
-        placement = self.placement(key)
-        alive = self._alive(placement)
-        async with self._locked(key):
-            await self._drain_stragglers(key)
-            version, exists = await self._resolve_write_version(
-                key, alive, self._plain_probe(path)
-            )
-            if exists:
-                raise FileExistsError_(path)
-            await self._store(key, placement, version, data, self._plain_put(path))
-            self._commit_version(key, version)
-        self._stats.increment("async.writes")
-
-    async def write(self, path: str, data: bytes) -> None:
-        """Replace a plain file's contents (must exist somewhere)."""
-        key = plain_key(path)
-        placement = self.placement(key)
-        alive = self._alive(placement)
-        async with self._locked(key):
-            await self._drain_stragglers(key)
-            version, exists = await self._resolve_write_version(
-                key, alive, self._plain_probe(path)
-            )
-            if not exists:
-                raise FileNotFoundError_(path)
-            await self._store(key, placement, version, data, self._plain_put(path))
-            self._commit_version(key, version)
-        self._stats.increment("async.writes")
-
-    async def read(self, path: str) -> bytes:
-        """Read a plain file from one replica (hedged, read-repairing)."""
-        return await self._read_repairing(
-            plain_key(path),
-            lambda sid, backend: backend.read(path),
-            self._plain_put(path),
-            FileNotFoundError_,
-            path,
+    def plain(self, path: str) -> _Subject:
+        """The plain file at ``path`` as a subject (always replicated)."""
+        return _Subject(
+            key=plain_key(path),
+            kind="plain",
+            what=path,
+            fetch=lambda sid, backend: backend.read(path),
+            probe=lambda sid, backend: backend.read(path),  # no plain extent read on a shard
+            put=lambda sid, backend, envelope: backend.put(path, envelope),
+            delete=lambda sid, backend: backend.unlink(path),
+            missing=FileNotFoundError_,
+            exists=FileExistsError_,
         )
 
-    async def unlink(self, path: str) -> None:
-        """Delete a plain file from every reachable replica."""
-        key = plain_key(path)
+    def hidden(self, objname: str, uak: bytes) -> _Subject:
+        """The hidden object ``objname`` under ``uak`` as a subject (dispersed in ida mode)."""
+        return _Subject(
+            key=hidden_key(objname, uak),
+            kind="hidden",
+            what=objname,
+            fetch=lambda sid, backend: backend.steg_read(objname, uak),
+            probe=lambda sid, backend: backend.steg_read_extent(objname, uak, 0, HEADER_LEN),
+            put=lambda sid, backend, envelope: backend.steg_put(objname, uak, envelope),
+            delete=lambda sid, backend: backend.steg_delete(objname, uak),
+            missing=HiddenObjectNotFoundError,
+            exists=HiddenObjectExistsError,
+            dispersed=self._mode == MODE_IDA,
+        )
+
+    async def _write(self, subject: _Subject, data: bytes, *, create: bool) -> None:
+        """The one client write: next version, store at quorum, commit.
+
+        ``create`` demands the object absent (the subject's *exists*
+        error otherwise); a replace demands it present (*missing*).
+        """
+        key = subject.key
         placement = self.placement(key)
         alive = self._alive(placement)
         async with self._locked(key):
             await self._drain_stragglers(key)
-            outcomes = await self._fanout(
-                alive, lambda sid, backend: backend.unlink(path)
-            )
+            version, exists = await self._resolve_write_version(key, alive, subject.probe)
+            if exists and create:
+                raise subject.exists(subject.what)
+            if not exists and not create:
+                raise subject.missing(subject.what)
+            await self._store(subject, placement, version, data)
+            self._commit_version(key, version)
+        self._stats.increment("async.writes")
+
+    async def _delete(self, subject: _Subject) -> None:
+        """The one client delete: every reachable placement shard, then the tombstone."""
+        key = subject.key
+        placement = self.placement(key)
+        alive = self._alive(placement)
+        async with self._locked(key):
+            await self._drain_stragglers(key)
+            outcomes = await self._fanout(alive, subject.delete)
             removed = sum(1 for outcome in outcomes.values() if outcome.ok)
             missing = sum(
                 1
                 for outcome in outcomes.values()
-                if isinstance(outcome.error, FileNotFoundError_)
+                if isinstance(outcome.error, subject.missing)
             )
             if removed == 0 and missing == len(outcomes):
-                raise FileNotFoundError_(path)
+                raise subject.missing(subject.what)
             if removed == 0 and missing == 0:
-                raise _classify_empty_read(outcomes, FileNotFoundError_, path)
+                raise _classify_empty_read(outcomes, subject.missing, subject.what)
             self._tombstone(key)
         self._stats.increment("async.deletes")
+
+    async def _union(self, listing: _ShardCall, key_of: Callable[[str], str]) -> list[str]:
+        """Union of one listing call across every alive shard; ``key_of``
+        maps a listed name to its ring key."""
+        alive = self._health.alive_of(tuple(self._shards))
+        if not alive:
+            raise ShardUnavailableError("no alive shard to list")
+        outcomes = await self._fanout(alive, listing)
+        names: set[str] = set()
+        for outcome in outcomes.values():
+            if outcome.ok:
+                names.update(outcome.value)
+        # Tombstoned names stay hidden even while stale shards hold them.
+        return sorted(name for name in names if self._version_floor(key_of(name)) == 0)
+
+    # ------------------------------------------------------------------
+    # plain namespace (always replicated)
+    # ------------------------------------------------------------------
+
+    async def create(self, path: str, data: bytes = b"") -> None:
+        """Create a plain file across its placement (early-acked W-of-N)."""
+        await self._write(self.plain(path), data, create=True)
+
+    async def write(self, path: str, data: bytes) -> None:
+        """Replace a plain file's contents (must exist somewhere)."""
+        await self._write(self.plain(path), data, create=False)
+
+    async def read(self, path: str) -> bytes:
+        """Read a plain file from one replica (hedged, read-repairing)."""
+        return await self._read_repairing(self.plain(path))
+
+    async def unlink(self, path: str) -> None:
+        """Delete a plain file from every reachable replica."""
+        await self._delete(self.plain(path))
 
     async def exists(self, path: str) -> bool:
         """Whether any reachable replica holds a live version of ``path``."""
@@ -1359,56 +1407,14 @@ class AsyncClusterClient:
 
     async def listdir(self, path: str = "/") -> list[str]:
         """Union of the path's listing across every alive shard."""
-        alive = self._health.alive_of(tuple(self._shards))
-        if not alive:
-            raise ShardUnavailableError("no alive shard to list")
-        outcomes = await self._fanout(
-            alive, lambda sid, backend: backend.listdir(path)
-        )
-        names: set[str] = set()
-        for outcome in outcomes.values():
-            if outcome.ok:
-                names.update(outcome.value)
-        # Tombstoned names stay hidden even while stale shards hold them.
-        return sorted(
-            name
-            for name in names
-            if self._version_floor(plain_key(f"{path}/{name}")) == 0
+        return await self._union(
+            lambda sid, backend: backend.listdir(path),
+            lambda name: plain_key(f"{path}/{name}"),
         )
 
     # ------------------------------------------------------------------
     # hidden namespace (mode-dependent redundancy)
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _hidden_put(objname: str, uak: bytes) -> _ShardPut:
-        return lambda sid, backend, envelope: backend.steg_put(
-            objname, uak, envelope
-        )
-
-    @staticmethod
-    def _hidden_probe(objname: str, uak: bytes) -> _ShardCall:
-        return lambda sid, backend: backend.steg_read_extent(
-            objname, uak, 0, HEADER_LEN
-        )
-
-    async def _store_hidden(
-        self,
-        key: str,
-        objname: str,
-        uak: bytes,
-        placement: tuple[str, ...],
-        version: int,
-        data: bytes,
-    ) -> None:
-        await self._store(
-            key,
-            placement,
-            version,
-            data,
-            self._hidden_put(objname, uak),
-            dispersed=self._mode == MODE_IDA,
-        )
 
     async def steg_create(
         self, objname: str, uak: bytes, data: bytes = b"", objtype: str = "f"
@@ -1419,89 +1425,25 @@ class AsyncClusterClient:
                 "the cluster namespace is flat: hidden directories are "
                 "a per-shard concept"
             )
-        key = hidden_key(objname, uak)
-        placement = self.placement(key)
-        alive = self._alive(placement)
-        async with self._locked(key):
-            await self._drain_stragglers(key)
-            version, exists = await self._resolve_write_version(
-                key, alive, self._hidden_probe(objname, uak)
-            )
-            if exists:
-                raise HiddenObjectExistsError(objname)
-            await self._store_hidden(key, objname, uak, placement, version, data)
-            self._commit_version(key, version)
-        self._stats.increment("async.writes")
+        await self._write(self.hidden(objname, uak), data, create=True)
 
     async def steg_write(self, objname: str, uak: bytes, data: bytes) -> None:
         """Replace a hidden file's contents."""
-        key = hidden_key(objname, uak)
-        placement = self.placement(key)
-        alive = self._alive(placement)
-        async with self._locked(key):
-            await self._drain_stragglers(key)
-            version, exists = await self._resolve_write_version(
-                key, alive, self._hidden_probe(objname, uak)
-            )
-            if not exists:
-                raise HiddenObjectNotFoundError(objname)
-            await self._store_hidden(key, objname, uak, placement, version, data)
-            self._commit_version(key, version)
-        self._stats.increment("async.writes")
+        await self._write(self.hidden(objname, uak), data, create=False)
 
     async def steg_read(self, objname: str, uak: bytes) -> bytes:
         """Read a hidden file: one replica, or ``m`` shares reconstructed."""
-        return await self._read_repairing(
-            hidden_key(objname, uak),
-            lambda sid, backend: backend.steg_read(objname, uak),
-            self._hidden_put(objname, uak),
-            HiddenObjectNotFoundError,
-            objname,
-            dispersed=self._mode == MODE_IDA,
-        )
+        return await self._read_repairing(self.hidden(objname, uak))
 
     async def steg_delete(self, objname: str, uak: bytes) -> None:
         """Delete a hidden object from every reachable placement shard."""
-        key = hidden_key(objname, uak)
-        placement = self.placement(key)
-        alive = self._alive(placement)
-        async with self._locked(key):
-            await self._drain_stragglers(key)
-            outcomes = await self._fanout(
-                alive, lambda sid, backend: backend.steg_delete(objname, uak)
-            )
-            removed = sum(1 for outcome in outcomes.values() if outcome.ok)
-            missing = sum(
-                1
-                for outcome in outcomes.values()
-                if isinstance(outcome.error, HiddenObjectNotFoundError)
-            )
-            if removed == 0 and missing == len(outcomes):
-                raise HiddenObjectNotFoundError(objname)
-            if removed == 0 and missing == 0:
-                raise _classify_empty_read(
-                    outcomes, HiddenObjectNotFoundError, objname
-                )
-            self._tombstone(key)
-        self._stats.increment("async.deletes")
+        await self._delete(self.hidden(objname, uak))
 
     async def steg_list(self, uak: bytes) -> list[str]:
         """Union of hidden names for ``uak`` across every alive shard."""
-        alive = self._health.alive_of(tuple(self._shards))
-        if not alive:
-            raise ShardUnavailableError("no alive shard to list")
-        outcomes = await self._fanout(
-            alive, lambda sid, backend: backend.steg_list(uak)
-        )
-        names: set[str] = set()
-        for outcome in outcomes.values():
-            if outcome.ok:
-                names.update(outcome.value)
-        # Tombstoned names stay hidden even while stale shards hold them.
-        return sorted(
-            name
-            for name in names
-            if self._version_floor(hidden_key(name, uak)) == 0
+        return await self._union(
+            lambda sid, backend: backend.steg_list(uak),
+            lambda name: hidden_key(name, uak),
         )
 
     # ------------------------------------------------------------------
@@ -1512,89 +1454,38 @@ class AsyncClusterClient:
     async def exclusive(self, key: str) -> AsyncIterator[None]:
         """Hold ``key``'s stripe lock with its write stragglers drained.
 
-        The rebalancer's critical section: the ``fetch_*`` /
-        ``store_*_at`` / ``purge_*`` primitives take no lock themselves,
-        so one object's fetch → store → purge → verify runs as a unit
-        that no early-acked leg of a previous write can land inside.
+        The rebalancer's critical section: :meth:`fetch`,
+        :meth:`store_at` and :meth:`purge` take no lock themselves, so
+        one object's fetch → store → purge → verify runs as a unit that
+        no early-acked leg of a previous write can land inside.
         """
         async with self._locked(key):
             await self._drain_stragglers(key)
             yield
 
-    async def fetch_plain(
-        self, path: str, placement: tuple[str, ...]
-    ) -> tuple[bytes, int]:
-        """(data, version) of a plain file: the newest intact replica
-        among ``placement``'s alive shards — every one consulted, no repair."""
-        verdict = await self._read(
-            plain_key(path),
-            placement,
-            lambda sid, backend: backend.read(path),
-            FileNotFoundError_,
-            path,
-            newest_of_all=True,
-        )
+    async def fetch(self, subject: _Subject, placement: tuple[str, ...]) -> tuple[bytes, int]:
+        """(data, version) of an object: the newest intact (or
+        reconstructable) version among ``placement``'s alive shards —
+        every one consulted, no repair."""
+        verdict = await self._read(subject, placement, newest_of_all=True)
         return verdict.data, verdict.version
 
-    async def fetch_hidden(
-        self, objname: str, uak: bytes, placement: tuple[str, ...]
-    ) -> tuple[bytes, int]:
-        """(data, version) of a hidden file: the newest intact (or
-        reconstructable) version among ``placement``'s alive shards."""
-        verdict = await self._read(
-            hidden_key(objname, uak),
-            placement,
-            lambda sid, backend: backend.steg_read(objname, uak),
-            HiddenObjectNotFoundError,
-            objname,
-            dispersed=self._mode == MODE_IDA,
-            newest_of_all=True,
-        )
-        return verdict.data, verdict.version
-
-    async def store_plain_at(
-        self, path: str, data: bytes, placement: tuple[str, ...], version: int
+    async def store_at(
+        self, subject: _Subject, data: bytes, placement: tuple[str, ...], version: int
     ) -> None:
-        """Write a plain file's fragments at an explicit placement.
+        """Write an object's fragments at an explicit placement.
 
         Unlike a client write this waits for *every* leg: a migration is
         not done while a replica is still in flight.
         """
-        key = plain_key(path)
-        await self._store(key, placement, version, data, self._plain_put(path))
-        await self._drain_stragglers(key)
-        self._observe_version(key, version)
+        await self._store(subject, placement, version, data)
+        await self._drain_stragglers(subject.key)
+        self._observe_version(subject.key, version)
 
-    async def store_hidden_at(
-        self,
-        objname: str,
-        uak: bytes,
-        data: bytes,
-        placement: tuple[str, ...],
-        version: int,
-    ) -> None:
-        """Write a hidden file's fragments at an explicit placement
-        (every leg awaited — see :meth:`store_plain_at`)."""
-        key = hidden_key(objname, uak)
-        await self._store_hidden(key, objname, uak, placement, version, data)
-        await self._drain_stragglers(key)
-        self._observe_version(key, version)
-
-    async def _purge(self, shard_ids: Iterable[str], call: _ShardCall) -> int:
-        outcomes = await self._fanout(self._health.alive_of(list(shard_ids)), call)
-        return sum(1 for outcome in outcomes.values() if outcome.ok)
-
-    async def purge_plain(self, path: str, shard_ids: Iterable[str]) -> int:
+    async def purge(self, subject: _Subject, shard_ids: Iterable[str]) -> int:
         """Best-effort fragment removal from shards leaving a placement."""
-        return await self._purge(shard_ids, lambda sid, backend: backend.unlink(path))
-
-    async def purge_hidden(
-        self, objname: str, uak: bytes, shard_ids: Iterable[str]
-    ) -> int:
-        """Best-effort hidden-fragment removal from departing shards."""
-        return await self._purge(
-            shard_ids, lambda sid, backend: backend.steg_delete(objname, uak)
-        )
+        outcomes = await self._fanout(self._health.alive_of(list(shard_ids)), subject.delete)
+        return sum(1 for outcome in outcomes.values() if outcome.ok)
 
     # ------------------------------------------------------------------
     # maintenance

@@ -24,7 +24,11 @@ reachable to be written to); a leaving shard is detached after step 3
 Hidden objects cannot be enumerated without their keys (that is the
 point of a steganographic store), so callers pass the UAKs whose
 namespaces should move; plain files are discovered from the union
-directory listing.
+directory listing.  Either way an object arrives here as a *subject*
+(:meth:`~repro.cluster.aio.AsyncClusterClient.plain` /
+:meth:`~repro.cluster.aio.AsyncClusterClient.hidden`) and is moved by the
+coordinator's three primitives over it — ``fetch``, ``store_at``,
+``purge`` — so nothing below asks which namespace it serves.
 
 :func:`replace_shard` composes the pieces for the failure story: detach
 a dead shard, attach its replacement, then :func:`repair` every object
@@ -41,12 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.aio import (
-    AsyncClusterClient,
-    AsyncShardBackend,
-    hidden_key,
-    plain_key,
-)
+from repro.cluster.aio import AsyncClusterClient, AsyncShardBackend, _Subject
 from repro.cluster.ring import HashRing
 from repro.errors import RebalanceError, ReproError
 
@@ -86,60 +85,44 @@ class RebalanceReport:
 
 async def enumerate_objects(
     cluster: AsyncClusterClient, uaks: tuple[bytes, ...] = ()
-) -> list[tuple[str, str, bytes | None]]:
-    """(ring key, name, uak) for every object the cluster can see.
+) -> list[_Subject]:
+    """One subject for every object the cluster can see.
 
-    ``uak`` is ``None`` for plain files, which come from the union
-    listing; hidden names require the callers' UAKs — fragments under
-    keys not supplied simply stay where they are (they are invisible,
-    exactly as the paper intends).
+    Plain files come from the union listing; hidden names require the
+    callers' UAKs — fragments under keys not supplied simply stay where
+    they are (they are invisible, exactly as the paper intends).
     """
-    found: list[tuple[str, str, bytes | None]] = [
-        (plain_key(f"/{name}"), f"/{name}", None)
-        for name in await cluster.listdir("/")
-    ]
+    found = [cluster.plain(f"/{name}") for name in await cluster.listdir("/")]
     for uak in uaks:
         for name in await cluster.steg_list(uak):
-            found.append((hidden_key(name, uak), name, uak))
+            found.append(cluster.hidden(name, uak))
     return found
 
 
 async def _rewrite(
     cluster: AsyncClusterClient,
-    key: str,
-    name: str,
-    uak: bytes | None,
+    subject: _Subject,
     old: tuple[str, ...],
     new: tuple[str, ...],
     report: RebalanceReport,
 ) -> None:
     """Move one object ``old`` → ``new`` placement; purge; verify."""
     leavers = [shard_id for shard_id in old if shard_id not in new]
-    async with cluster.exclusive(key):
+    async with cluster.exclusive(subject.key):
         try:
-            if uak is None:
-                data, version = await cluster.fetch_plain(name, old)
-            else:
-                data, version = await cluster.fetch_hidden(name, uak, old)
+            data, version = await cluster.fetch(subject, old)
         except ReproError as exc:
-            report.failed.append(f"{name}: {exc}")
+            report.failed.append(f"{subject.what}: {exc}")
             return
-        if uak is None:
-            await cluster.store_plain_at(name, data, new, version + 1)
-            report.purged_fragments += await cluster.purge_plain(name, leavers)
-            stored = await cluster.fetch_plain(name, new)
-        else:
-            await cluster.store_hidden_at(name, uak, data, new, version + 1)
-            report.purged_fragments += await cluster.purge_hidden(
-                name, uak, leavers
-            )
-            stored = await cluster.fetch_hidden(name, uak, new)
+        await cluster.store_at(subject, data, new, version + 1)
+        report.purged_fragments += await cluster.purge(subject, leavers)
+        stored = await cluster.fetch(subject, new)
     report.moved += 1
     cluster.stats.increment("async.rebalance_moves")
     report.bytes_moved += len(data)
     if stored != (data, version + 1):
-        kind = "plain" if uak is None else "hidden"
-        raise RebalanceError(f"post-migration mismatch for {kind} object {name!r}")
+        # The kind and the caller's name, never the ring key (it tags the UAK).
+        raise RebalanceError(f"post-migration mismatch for {subject.kind} object {subject.what!r}")
     report.verified += 1
 
 
@@ -152,12 +135,12 @@ async def _migrate(
     """Rewrite every object whose placement differs between the rings."""
     report = RebalanceReport()
     width = cluster.width
-    for key, name, uak in await enumerate_objects(cluster, uaks):
+    for subject in await enumerate_objects(cluster, uaks):
         report.examined += 1
-        old = old_ring.nodes_for(key, width)
-        new = new_ring.nodes_for(key, width)
+        old = old_ring.nodes_for(subject.key, width)
+        new = new_ring.nodes_for(subject.key, width)
         if old != new:
-            await _rewrite(cluster, key, name, uak, old, new, report)
+            await _rewrite(cluster, subject, old, new, report)
     return report
 
 
@@ -201,10 +184,10 @@ async def repair(
     needs after an outage longer than read-repair traffic would heal.
     """
     report = RebalanceReport()
-    for key, name, uak in await enumerate_objects(cluster, uaks):
+    for subject in await enumerate_objects(cluster, uaks):
         report.examined += 1
-        placement = cluster.placement(key)
-        await _rewrite(cluster, key, name, uak, placement, placement, report)
+        placement = cluster.placement(subject.key)
+        await _rewrite(cluster, subject, placement, placement, report)
     return report
 
 

@@ -12,16 +12,7 @@ from repro.crypto.aes import AES, BLOCK_SIZE as AES_BLOCK_SIZE
 from repro.crypto.hmac import constant_time_equal, hmac_sha256, verify_hmac_sha256
 from repro.crypto.ida import Share, disperse, reconstruct
 from repro.crypto.kdf import KEY_SIZE, derive_key, iterated_kdf, level_keys, subkey
-from repro.crypto.modes import (
-    BlockSealer,
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_decrypt,
-    ctr_encrypt,
-    pkcs7_pad,
-    pkcs7_unpad,
-    random_looking,
-)
+from repro.crypto.modes import random_looking
 from repro.crypto.prng import BlockNumberGenerator, HashChainPRNG
 from repro.crypto.rsa import KeyPair, RSAPrivateKey, RSAPublicKey, generate_keypair
 from repro.crypto.sha256 import SHA256, sha256, sha256_hex
@@ -31,7 +22,6 @@ __all__ = [
     "AES",
     "AES_BLOCK_SIZE",
     "BlockNumberGenerator",
-    "BlockSealer",
     "HashChainPRNG",
     "KEY_SIZE",
     "KeyPair",
@@ -40,11 +30,7 @@ __all__ = [
     "SHA256",
     "Share",
     "VectorAES",
-    "cbc_decrypt",
-    "cbc_encrypt",
     "constant_time_equal",
-    "ctr_decrypt",
-    "ctr_encrypt",
     "ctr_keystream",
     "ctr_xor",
     "derive_key",
@@ -53,8 +39,6 @@ __all__ = [
     "hmac_sha256",
     "iterated_kdf",
     "level_keys",
-    "pkcs7_pad",
-    "pkcs7_unpad",
     "random_looking",
     "reconstruct",
     "sha256",

@@ -1,9 +1,9 @@
 """AES block cipher implemented from scratch (FIPS 197).
 
 The paper encrypts every hidden-file block with AES (§4, reference [5]).
-This module provides the single-block primitive for AES-128/192/256; chaining
-modes live in :mod:`repro.crypto.modes` and a numpy-vectorised bulk CTR path
-in :mod:`repro.crypto.vector_aes`.
+This module provides the single-block primitive for AES-128/192/256; the one
+mode the file system uses, a numpy-vectorised bulk CTR, lives in
+:mod:`repro.crypto.vector_aes`.
 
 The S-box and its inverse are *derived*, not pasted: each entry is the
 affine transform of the multiplicative inverse in GF(2^8) modulo the AES

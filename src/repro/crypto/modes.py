@@ -1,128 +1,18 @@
-"""Block-cipher modes of operation (CTR, CBC) and the block sealer.
+"""The bit-balance check tests hold sealed blocks to.
 
-StegFS encrypts whole disk blocks.  Two requirements shape the construction:
-
-* Every encrypted block must be indistinguishable from random bits — that is
-  the core steganographic property of §3.1 (hidden blocks must look exactly
-  like the random fill written at mkfs time).
-* Each block must be decryptable in isolation (random access), and
-  re-encrypting the same logical block after an update must not produce a
-  recognisably related ciphertext.
-
-:class:`BlockSealer` therefore encrypts each block with AES-CTR under a
-per-block nonce derived from the block's logical identity and a per-write
-freshness counter, both stored *inside* the sealed payload of the owning
-structure rather than in the clear (nothing on disk may label a block as
-encrypted).
+StegFS encrypts whole disk blocks, and every encrypted block must be
+indistinguishable from random bits — the core steganographic property of
+§3.1 (hidden blocks must look exactly like the random fill written at
+mkfs time).  Sealing itself lives in :mod:`repro.core.blockio`, over the
+bulk AES-CTR of :mod:`repro.crypto.vector_aes`; what remains here is the
+statistic a block-level observer could compute.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.hmac import hmac_sha256
-from repro.crypto.sha256 import sha256
-from repro.crypto.vector_aes import ctr_xor
-from repro.errors import InvalidKeyError, PaddingError
-
-__all__ = ["ctr_encrypt", "ctr_decrypt", "cbc_encrypt", "cbc_decrypt",
-           "pkcs7_pad", "pkcs7_unpad", "BlockSealer", "random_looking"]
-
-
-def ctr_encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
-    """AES-CTR encrypt (identical to decrypt; alias for readability)."""
-    return ctr_xor(key, nonce, plaintext)
-
-
-def ctr_decrypt(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
-    """AES-CTR decrypt."""
-    return ctr_xor(key, nonce, ciphertext)
-
-
-def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
-    """Append PKCS#7 padding up to a multiple of ``block_size``."""
-    if not 1 <= block_size <= 255:
-        raise ValueError(f"block size must be in [1, 255], got {block_size}")
-    pad_len = block_size - (len(data) % block_size)
-    return data + bytes([pad_len]) * pad_len
-
-
-def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
-    """Strip and validate PKCS#7 padding."""
-    if not data or len(data) % block_size:
-        raise PaddingError("padded data length is not a multiple of the block size")
-    pad_len = data[-1]
-    if not 1 <= pad_len <= block_size:
-        raise PaddingError(f"invalid padding byte {pad_len}")
-    if data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise PaddingError("inconsistent padding bytes")
-    return data[:-pad_len]
-
-
-def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
-    """AES-CBC encrypt with PKCS#7 padding (used for key-directory blobs)."""
-    if len(iv) != BLOCK_SIZE:
-        raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    cipher = AES(key)
-    padded = pkcs7_pad(plaintext)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(padded), BLOCK_SIZE):
-        block = bytes(a ^ b for a, b in zip(padded[i : i + BLOCK_SIZE], prev))
-        prev = cipher.encrypt_block(block)
-        out += prev
-    return bytes(out)
-
-
-def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
-    """AES-CBC decrypt and unpad."""
-    if len(iv) != BLOCK_SIZE:
-        raise ValueError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-    if len(ciphertext) % BLOCK_SIZE:
-        raise PaddingError("ciphertext length is not a multiple of the block size")
-    cipher = AES(key)
-    out = bytearray()
-    prev = iv
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[i : i + BLOCK_SIZE]
-        plain = cipher.decrypt_block(block)
-        out += bytes(a ^ b for a, b in zip(plain, prev))
-        prev = block
-    return pkcs7_unpad(bytes(out))
-
-
-class BlockSealer:
-    """Deterministic random-access encryption of fixed-size disk blocks.
-
-    Each sealed block is ``AES-CTR(key, nonce(context, epoch), payload)``
-    where *context* names the logical block (e.g. ``b"data:17"`` — the 17th
-    block of some hidden file) and *epoch* is a write counter kept by the
-    owner.  The output is exactly the payload length: no header, no tag —
-    on disk the block carries nothing that distinguishes it from the random
-    fill.  Integrity, where needed, is provided by signatures/MACs stored in
-    encrypted metadata, never in the clear.
-    """
-
-    def __init__(self, key: bytes) -> None:
-        if len(key) not in (16, 24, 32):
-            raise InvalidKeyError(f"sealer key must be an AES key, got {len(key)} bytes")
-        self._key = key
-
-    def _nonce(self, context: bytes, epoch: int) -> bytes:
-        return sha256(context + b"|" + epoch.to_bytes(8, "little"))[:8]
-
-    def seal(self, context: bytes, epoch: int, payload: bytes) -> bytes:
-        """Encrypt ``payload``; output length equals input length."""
-        return ctr_xor(self._key, self._nonce(context, epoch), payload)
-
-    def unseal(self, context: bytes, epoch: int, sealed: bytes) -> bytes:
-        """Decrypt a sealed block (CTR is its own inverse)."""
-        return ctr_xor(self._key, self._nonce(context, epoch), sealed)
-
-    def mac(self, context: bytes, payload: bytes) -> bytes:
-        """Keyed integrity tag for structures that store their own MACs."""
-        return hmac_sha256(self._key, context + b"|" + payload)
+__all__ = ["random_looking"]
 
 
 def random_looking(data: bytes) -> bool:

@@ -207,7 +207,7 @@ def test_fresh_coordinator_reads_in_placement_order(shard_farm, mode):
 @MODES
 def test_rebalancer_fetch_consults_the_whole_placement_in_one_wave(shard_farm, mode):
     async def scenario(cluster, shards, order, need) -> None:
-        data, version = await cluster.fetch_hidden("doc", UAK, order)
+        data, version = await cluster.fetch(cluster.hidden("doc", UAK), order)
         assert (data, version) == (b"v2 " * 50, 2)
         assert _read_calls(shards) == {sid: 1 for sid in order}
         stats = cluster.stats.snapshot()

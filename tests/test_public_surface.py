@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
 import repro
 import repro.cluster
+import repro.cluster.aio
+import repro.cluster.rebalance
+import repro.crypto.modes
 import repro.net.client
 import repro.net.protocol
 import repro.storage
@@ -45,6 +49,47 @@ def test_one_wire_client():
         assert verb in vars(client._WireVerbs)
         assert verb not in vars(client.StegFSClient)
         assert verb not in vars(client.AsyncStegFSClient)
+
+
+def test_one_object_path_through_the_cluster():
+    aio = repro.cluster.aio
+    for name in (
+        "fetch_plain",
+        "fetch_hidden",
+        "store_plain_at",
+        "store_hidden_at",
+        "purge_plain",
+        "purge_hidden",
+        "_plain_put",
+        "_hidden_put",
+        "_plain_probe",
+        "_hidden_probe",
+        "_store_hidden",
+    ):
+        assert not hasattr(aio.AsyncClusterClient, name)
+    for name in ("plain", "hidden", "fetch", "store_at", "purge"):
+        assert name in vars(aio.AsyncClusterClient)
+    # The coordinator's ``exists`` is a read; no shard verb backs it.
+    assert not hasattr(aio.AsyncShardBackend, "exists")
+    assert not hasattr(aio._ShardVerbs, "exists")
+    # Definition + one call: the write path is written once.
+    assert inspect.getsource(aio).count("_resolve_write_version(") == 2
+    assert "uak is None" not in inspect.getsource(repro.cluster.rebalance)
+
+
+def test_dead_crypto_modes_are_gone():
+    for name in (
+        "BlockSealer",
+        "cbc_decrypt",
+        "cbc_encrypt",
+        "ctr_decrypt",
+        "ctr_encrypt",
+        "pkcs7_pad",
+        "pkcs7_unpad",
+    ):
+        assert not hasattr(repro.crypto, name)
+        assert not hasattr(repro.crypto.modes, name)
+    assert repro.crypto.modes.__all__ == ["random_looking"]
 
 
 def test_retired_measurement_estate_is_gone():

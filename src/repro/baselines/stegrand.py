@@ -14,7 +14,7 @@ the event Figure 6 measures the onset of.
 
 Each stored block is ``AES-CTR(key, addr-derived nonce, payload) || tag``
 where the tag authenticates (file, block, replica, payload).  The tag
-function is pluggable: ``"hmac"`` (default, from-scratch HMAC-SHA256) or
+function is pluggable: ``"hmac"`` (default, HMAC-SHA256) or
 ``"crc"`` (zlib CRC-32, keyed) for large benchmark sweeps where only
 accident-detection matters.
 """

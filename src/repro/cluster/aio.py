@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import hashlib
 import inspect
 import threading
 import time
@@ -105,6 +104,7 @@ from repro.cluster.fragment import (
 from repro.cluster.health import HealthMonitor
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.crypto.ida import Share, disperse, reconstruct
+from repro.crypto.sha256 import sha256, sha256_hex
 from repro.errors import (
     ClusterError,
     ClusterQuorumError,
@@ -157,7 +157,7 @@ def _canonical(name: str) -> str:
 def _key_tag(uak: bytes) -> str:
     # Non-reversible: enough to tell two keys apart, useless for
     # recovering either.
-    return hashlib.sha256(uak).hexdigest()[:16]
+    return sha256_hex(uak)[:16]
 
 
 def plain_key(path: str) -> str:
@@ -940,7 +940,7 @@ class AsyncClusterClient:
     # ------------------------------------------------------------------
 
     def _key_lock(self, key: str) -> asyncio.Lock:
-        digest = int.from_bytes(hashlib.sha256(key.encode()).digest()[:4], "big")
+        digest = int.from_bytes(sha256(key.encode())[:4], "big")
         return self._key_locks[digest % len(self._key_locks)]
 
     @contextlib.asynccontextmanager

@@ -22,10 +22,10 @@ without moving the payload.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
+from repro.crypto.sha256 import sha256
 from repro.errors import FragmentFormatError
 
 __all__ = [
@@ -51,7 +51,7 @@ HEADER_LEN = _HEADER.size
 
 def digest_of(data: bytes) -> bytes:
     """The envelope digest of one logical object payload."""
-    return hashlib.sha256(data).digest()
+    return sha256(data)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ placement entry ``i`` and a reader can match fragments to positions.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Iterable, Iterator
 
+from repro.crypto.sha256 import sha256
 from repro.errors import ClusterError
 
 __all__ = ["HashRing"]
@@ -37,7 +37,7 @@ DEFAULT_VNODES = 128
 
 def _hash_point(label: str) -> int:
     """Position of ``label`` on the 64-bit ring (stable across runs)."""
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    digest = sha256(label.encode("utf-8"))
     return int.from_bytes(digest[:8], "big")
 
 

@@ -1,11 +1,15 @@
-"""Cryptographic substrate, implemented from scratch.
+"""Cryptographic substrate, with no third-party crypto dependency.
 
 The paper's construction names AES (FIPS 197) for block encryption, SHA-256
 (FIPS 180-2) both as one-way hash and — recursively applied — as the
 pseudorandom block-number generator, and public-key encryption for the
-sharing workflow.  All of them are implemented here with no third-party
-crypto dependency; the test suite pins each against published vectors (and
-``hashlib`` as an oracle for SHA-256/HMAC).
+sharing workflow.  AES, CTR, RSA, IDA, the KDF and the hash-chain generator
+are implemented here from scratch and pinned against published vectors.
+SHA-256 and HMAC are *specified* here from scratch (:class:`SHA256`,
+:func:`repro.crypto.hmac.reference_hmac_sha256`; pinned against FIPS 180-2,
+RFC 4231 and ``hashlib``) and *computed* by the standard library:
+:func:`sha256`, :func:`sha256_hex` and :func:`hmac_sha256` are the one door
+every caller uses, and the only modules that import ``hashlib`` / ``hmac``.
 """
 
 from repro.crypto.aes import AES, BLOCK_SIZE as AES_BLOCK_SIZE

@@ -1,18 +1,24 @@
-"""SHA-256 implemented from scratch (FIPS 180-2).
+"""SHA-256 (FIPS 180-2): specified here from scratch, computed by ``hashlib``.
 
 The paper uses SHA-256 both as its one-way hash (file signatures, §3.1) and,
 recursively applied, as the pseudorandom block-number generator used to place
-and locate hidden-file headers (§4).  This module is the single hash
-primitive for the whole library; tests pin it against ``hashlib`` and the
-FIPS 180-2 published vectors.
+and locate hidden-file headers (§4).  This module is the single door to the
+hash for the whole library: everything under ``src/`` calls :func:`sha256` /
+:func:`sha256_hex`, and both compute with the standard library's compiled
+``hashlib.sha256``: every hidden access pays three HMACs and a candidate
+chain, which the interpreted compression function prices at milliseconds.
 
-The implementation follows the specification directly: message padding to a
+:class:`SHA256` is the specification written out: message padding to a
 multiple of 64 bytes with an appended 64-bit big-endian bit length, then
-64 rounds of the compression function per block.
+64 rounds of the compression function per block.  It is the *reference* —
+the tests pin it against the FIPS 180-2 published vectors and pin the
+one-shot functions against it — and no product code outside
+``repro.crypto`` may import it.  There is no switch between the two.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 __all__ = ["SHA256", "sha256", "sha256_hex", "DIGEST_SIZE", "BLOCK_SIZE"]
@@ -132,10 +138,10 @@ class SHA256:
 
 
 def sha256(data: bytes) -> bytes:
-    """One-shot SHA-256 digest of ``data``."""
-    return SHA256(data).digest()
+    """One-shot SHA-256 digest of ``data`` (any bytes-like object)."""
+    return hashlib.sha256(data).digest()
 
 
 def sha256_hex(data: bytes) -> str:
-    """One-shot SHA-256 hex digest of ``data``."""
-    return SHA256(data).hexdigest()
+    """One-shot SHA-256 hex digest of ``data`` (any bytes-like object)."""
+    return hashlib.sha256(data).hexdigest()

@@ -3,17 +3,20 @@
 The scalar :class:`repro.crypto.aes.AES` runs the full FIPS 197 round
 function per block in pure Python, which is fine for headers and key blobs
 but too slow for megabyte file bodies.  This module evaluates the identical
-round function over an ``(n_blocks, 16)`` uint8 array: S-box via ``take``,
-ShiftRows via a fixed column permutation, MixColumns via xtime lookup
-tables.  Tests assert byte equality against the scalar cipher on random
-inputs, so the two paths cannot drift apart.
+cipher over many blocks at once with the textbook T-table round (Daemen &
+Rijmen's 32-bit formulation): SubBytes and MixColumns of one state byte are
+one 32-bit table entry, so a round is a ShiftRows gather, one table gather,
+an XOR of the four rows' entries and the round key.  Tests assert byte
+equality against the scalar cipher on random inputs, so the two paths cannot
+drift apart.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.aes import AES, INV_SBOX, SBOX, _MUL2, _MUL3
+from repro.crypto.aes import AES, SBOX, _MUL2, _MUL3
+from repro.util.lru import Lru
 
 __all__ = [
     "VectorAES",
@@ -25,20 +28,43 @@ __all__ = [
 ]
 
 _SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
-_INV_SBOX_NP = np.frombuffer(INV_SBOX, dtype=np.uint8)
-_MUL2_NP = np.frombuffer(_MUL2, dtype=np.uint8)
-_MUL3_NP = np.frombuffer(_MUL3, dtype=np.uint8)
 
-# ShiftRows as a permutation of the 16 column-major state bytes.
-_SHIFT_ROWS = np.array(
-    [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11], dtype=np.intp
-)
 
-# Column rotations used by MixColumns: index of state byte one/two/three rows
-# down within the same column, for all 16 positions.
-_ROT1 = np.array([1, 2, 3, 0, 5, 6, 7, 4, 9, 10, 11, 8, 13, 14, 15, 12], dtype=np.intp)
-_ROT2 = _ROT1[_ROT1]
-_ROT3 = _ROT2[_ROT1]
+def _build_t_table() -> np.ndarray:
+    """The four round tables as one flat ``4 x 256`` array of ``'<u4'``.
+
+    Entry ``row * 256 + byte`` is what a state byte in row ``row`` adds to
+    its output column: column ``row`` of the MixColumns matrix times
+    ``SBOX[byte]``, row 0 in the low-order byte so that a little-endian word
+    viewed as four bytes is a column in FIPS order.
+    """
+    s1 = _SBOX_NP
+    s2 = np.frombuffer(_MUL2, dtype=np.uint8)[s1]
+    s3 = np.frombuffer(_MUL3, dtype=np.uint8)[s1]
+    matrix_columns = ((s2, s1, s1, s3), (s3, s2, s1, s1), (s1, s3, s2, s1), (s1, s1, s3, s2))
+    table = np.empty((4, 256, 4), dtype=np.uint8)
+    for row, column in enumerate(matrix_columns):
+        for out_row, values in enumerate(column):
+            table[row, :, out_row] = values
+    return table.reshape(-1).view("<u4")
+
+
+_T_TABLE = _build_t_table()
+_T_ROW_OFFSET = (np.arange(4, dtype=np.intp) * 256).reshape(4, 1, 1)
+
+# ShiftRows, by planes.  The rounds keep the state as ``(4, 4, n)`` planes,
+# plane ``[row, column]`` holding that byte of every block's *shifted* state;
+# ShiftRows puts the byte of input column ``(column + row) % 4`` there.
+_SHIFT_COLUMN = np.array([[(col + row) % 4 for col in range(4)] for row in range(4)], dtype=np.intp)
+_SHIFT_ROW = np.array([[row] * 4 for row in range(4)], dtype=np.intp)
+# The same gather out of the bytes of a column-major (FIPS order) block.
+_SHIFT_BYTE = 4 * _SHIFT_COLUMN + _SHIFT_ROW
+
+#: Blocks per pass of :meth:`VectorAES.encrypt_blocks`.  A round's
+#: temporaries are about 15 times the bytes of the blocks it works on, so a 1 MiB
+#: extent in one pass would hold 15 MiB of them; in strides they stay at
+#: about 1 MiB whatever the extent, and inside the L2 cache.
+_STRIDE = 4096
 
 
 class VectorAES:
@@ -49,48 +75,54 @@ class VectorAES:
     """
 
     def __init__(self, key: bytes) -> None:
-        self._scalar = AES(key)
-        self._round_keys = [
-            np.array(rk, dtype=np.uint8) for rk in self._scalar._round_keys
-        ]
-        self._rounds = self._scalar.rounds
+        scalar = AES(key)
+        round_keys = np.array(scalar._round_keys, dtype=np.uint8)
+        self._first_key = round_keys[0]
+        self._round_words = round_keys[1 : scalar.rounds].view("<u4").reshape(-1, 4, 1)
+        self._last_key = round_keys[scalar.rounds].reshape(4, 4)
 
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Encrypt an ``(n, 16)`` uint8 array of blocks; returns same shape."""
         if blocks.ndim != 2 or blocks.shape[1] != 16:
             raise ValueError(f"expected (n, 16) uint8 array, got {blocks.shape}")
-        state = blocks.astype(np.uint8, copy=True)
-        state ^= self._round_keys[0]
-        for rnd in range(1, self._rounds):
-            state = _SBOX_NP[state]
-            state = state[:, _SHIFT_ROWS]
-            state = self._mix_columns(state)
-            state ^= self._round_keys[rnd]
-        state = _SBOX_NP[state]
-        state = state[:, _SHIFT_ROWS]
-        state ^= self._round_keys[self._rounds]
-        return state
+        out = np.empty((len(blocks), 16), dtype=np.uint8)
+        for start in range(0, len(blocks), _STRIDE):
+            self._encrypt_stride(blocks[start : start + _STRIDE], out[start : start + _STRIDE])
+        return out
 
-    @staticmethod
-    def _mix_columns(state: np.ndarray) -> np.ndarray:
-        a1 = state[:, _ROT1]
-        a2 = state[:, _ROT2]
-        a3 = state[:, _ROT3]
-        return _MUL2_NP[state] ^ _MUL3_NP[a1] ^ a2 ^ a3
+    def _encrypt_stride(self, blocks: np.ndarray, out: np.ndarray) -> None:
+        n = len(blocks)
+        # One little-endian word per state column; its bytes, seen by row.
+        columns = np.empty((4, n), dtype="<u4")
+        by_row = columns.view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
+        index = np.empty((4, 4, n), dtype=np.intp)
+        entries = np.empty((4, 4, n), dtype="<u4")
+        planes = (blocks.astype(np.uint8, copy=False) ^ self._first_key).T[_SHIFT_BYTE]
+        for words in self._round_words:
+            np.add(planes, _T_ROW_OFFSET, out=index)
+            # mode: every index is below 1024, and "raise" would buffer ``out``.
+            _T_TABLE.take(index, out=entries, mode="wrap")
+            np.bitwise_xor.reduce(entries, axis=0, out=columns)
+            columns ^= words
+            planes = by_row[_SHIFT_COLUMN, _SHIFT_ROW]
+        # Last round: no MixColumns, and the planes go back to blocks.
+        np.bitwise_xor(
+            _SBOX_NP[planes].transpose(2, 1, 0), self._last_key, out=out.reshape(n, 4, 4)
+        )
 
 
-_CIPHER_CACHE: dict[bytes, VectorAES] = {}
-_CIPHER_CACHE_LIMIT = 64
+#: One key schedule per in-core hidden object
+#: (:data:`repro.core.volume.OPEN_OBJECT_BOUND`): about 1 KiB each.
+_CIPHER_CACHE_BOUND = 1024
+_CIPHER_CACHE: Lru[bytes, VectorAES] = Lru()
 
 
 def _cached_cipher(key: bytes) -> VectorAES:
     """Reuse key schedules: block-at-a-time I/O hits the same key repeatedly."""
     cipher = _CIPHER_CACHE.get(key)
     if cipher is None:
-        if len(_CIPHER_CACHE) >= _CIPHER_CACHE_LIMIT:
-            _CIPHER_CACHE.pop(next(iter(_CIPHER_CACHE)))
         cipher = VectorAES(key)
-        _CIPHER_CACHE[key] = cipher
+        _CIPHER_CACHE.put(key, cipher, _CIPHER_CACHE_BOUND)
     return cipher
 
 

@@ -26,11 +26,9 @@ at the disk model.
 from __future__ import annotations
 
 import random
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ContextManager, Generic, Iterator, TypeVar
+from typing import ContextManager, Iterator
 
 from repro.errors import (
     BadSuperblockError,
@@ -61,6 +59,7 @@ from repro.storage.bitmap import Bitmap
 from repro.storage.block_device import BlockDevice
 from repro.storage.journal import Journal, RecoveryReport
 from repro.storage.txn import JournaledDevice, TransactionManager
+from repro.util.lru import Lru
 
 __all__ = ["FileSystem", "FileStat", "NAME_CACHE_BOUND", "META_IMAGE_BOUND"]
 
@@ -110,56 +109,6 @@ class FileStat:
         return self.type == FileType.DIRECTORY
 
 
-_V = TypeVar("_V")
-
-
-class _Lru(Generic[_V]):
-    """Least-recently-used map from an inode or block number to ``_V``.
-
-    Readers under the service's shared volume lock fill it concurrently, and
-    a hit reorders it, hence the lock (as in
-    :class:`~repro.core.volume.ObjectTable`).  ``put`` and the two removals
-    return by how much the map shrank or grew, for gauges kept by deltas.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[int, _V] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: int) -> _V | None:
-        """The entry for ``key`` (now most recently used), or None."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-        return value
-
-    def put(self, key: int, value: _V, bound: int) -> int:
-        """Make ``value`` the entry for ``key``, evicting beyond ``bound``."""
-        with self._lock:
-            before = len(self._entries)
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > bound:
-                self._entries.popitem(last=False)
-            return len(self._entries) - before
-
-    def drop(self, key: int) -> int:
-        """Forget ``key``; the number of entries that removed (0 or 1)."""
-        with self._lock:
-            return 0 if self._entries.pop(key, None) is None else 1
-
-    def clear(self) -> int:
-        """Forget everything; the number of entries that removed."""
-        with self._lock:
-            removed = len(self._entries)
-            self._entries.clear()
-        return removed
-
-
 class FileSystem:
     """Mountable plain file system over a :class:`BlockDevice`."""
 
@@ -207,8 +156,8 @@ class FileSystem:
         # place an inode is newer than its table image, until ``flush``
         # writes it through.  A clean inode is parsed from its image on
         # every load — there is no second parsed copy to disagree with it.
-        self._names: _Lru[DirectoryData] = _Lru()
-        self._images: _Lru[bytes] = _Lru()
+        self._names: Lru[int, DirectoryData] = Lru()
+        self._images: Lru[int, bytes] = Lru()
         self._dirty: dict[int, Inode] = {}
         # No inode below this number is free: where the search for one starts.
         self._free_inode_hint = 0

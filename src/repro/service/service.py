@@ -40,7 +40,6 @@ lock exclusively.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
 import threading
 import time
@@ -50,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.core.stegfs import StegFS
+from repro.crypto.sha256 import sha256_hex
 from repro.errors import ServiceClosedError
 from repro.fs.filesystem import FileStat
 from repro.obs import _state as _obs_state
@@ -373,7 +373,7 @@ class StegFSService:
         # The stripe key must separate users who reuse an object name
         # without leaking the UAK into any data structure: an 8-byte hash
         # prefix keeps collisions harmless (extra contention only).
-        tag = hashlib.sha256(uak).hexdigest()[:16]
+        tag = sha256_hex(uak)[:16]
         return f"h:{tag}:{cls._canonical(objname)}"
 
     @contextmanager

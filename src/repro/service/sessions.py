@@ -33,8 +33,6 @@ session holders.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import secrets
 import threading
 import time
@@ -43,6 +41,8 @@ from typing import Callable, Iterator
 
 from repro.core.session import Session
 from repro.core.stegfs import StegFS
+from repro.crypto.hmac import constant_time_equal
+from repro.crypto.sha256 import sha256
 from repro.errors import SessionAuthError, SessionNotFoundError
 
 __all__ = ["ServiceSession", "SessionManager"]
@@ -51,7 +51,7 @@ _VERIFIER_SALT = b"repro.service.session-verifier.v1"
 
 
 def _verifier(uak: bytes) -> bytes:
-    return hashlib.sha256(_VERIFIER_SALT + uak).digest()
+    return sha256(_VERIFIER_SALT + uak)
 
 
 class ServiceSession:
@@ -133,7 +133,7 @@ class SessionManager:
         candidate = _verifier(uak)
         if known is None:
             self._verifiers[user_id] = candidate
-        elif not hmac.compare_digest(known, candidate):
+        elif not constant_time_equal(known, candidate):
             raise SessionAuthError(f"authentication failed for user {user_id!r}")
 
     # ------------------------------------------------------------------

@@ -46,10 +46,10 @@ logically empty and appends restart at offset 0.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
+from repro.crypto.sha256 import sha256
 from repro.errors import JournalError
 from repro.storage.block_device import BlockDevice
 
@@ -82,7 +82,7 @@ def _record_digest(seq: int, writes: list[tuple[int, bytes]]) -> bytes:
         hasher_input += struct.pack("<Q", index)
     for _, image in writes:
         hasher_input += image
-    return hashlib.sha256(bytes(hasher_input)).digest()
+    return sha256(hasher_input)
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class Journal:
         body = struct.pack(
             _HEADER_FMT, _HEADER_MAGIC, _VERSION, self._counter, self._next_seq
         )
-        return (body + hashlib.sha256(body).digest()[:16]).ljust(self._block_size, b"\x00")
+        return (body + sha256(body)[:16]).ljust(self._block_size, b"\x00")
 
     @staticmethod
     def _parse_header(raw: bytes) -> tuple[int, int] | None:
@@ -174,7 +174,7 @@ class Journal:
         if magic != _HEADER_MAGIC or version != _VERSION:
             return None
         checksum = raw[len(body) : len(body) + 16]
-        if checksum != hashlib.sha256(body).digest()[:16]:
+        if checksum != sha256(body)[:16]:
             return None
         return counter, next_seq
 

@@ -1,4 +1,9 @@
-"""HMAC-SHA256 against RFC 4231 vectors and the hashlib/hmac oracle."""
+"""HMAC-SHA256: RFC 4231 vectors, and the RFC 2104 reference against the kernel.
+
+``hmac_sha256`` computes with the standard library, so the from-scratch
+construction (:func:`reference_hmac_sha256`) is what the ``hmac`` oracle and
+the property below hold it to.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hmac import constant_time_equal, hmac_sha256, verify_hmac_sha256
+from repro.crypto.hmac import (
+    constant_time_equal,
+    hmac_sha256,
+    reference_hmac_sha256,
+    verify_hmac_sha256,
+)
 
 RFC4231 = [
     (
@@ -39,6 +49,7 @@ RFC4231 = [
 @pytest.mark.parametrize("key,message,expected", RFC4231)
 def test_rfc4231_vectors(key, message, expected):
     assert hmac_sha256(key, message).hex() == expected
+    assert reference_hmac_sha256(key, message).hex() == expected
 
 
 def test_verify_accepts_and_rejects():
@@ -54,10 +65,22 @@ def test_constant_time_equal():
     assert constant_time_equal(b"abc", b"abc")
     assert not constant_time_equal(b"abc", b"abd")
     assert not constant_time_equal(b"abc", b"ab")
+    assert not constant_time_equal(b"", b"a")
+    assert constant_time_equal(bytearray(b"abc"), memoryview(b"abc"))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.binary(max_size=200), st.binary(max_size=200))
 def test_matches_stdlib_oracle(key, message):
     expected = std_hmac.new(key, message, hashlib.sha256).digest()
-    assert hmac_sha256(key, message) == expected
+    assert reference_hmac_sha256(key, message) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.binary(max_size=200),  # both sides of the 64-byte hash-the-key branch
+    st.binary(max_size=200),
+    st.sampled_from([bytes, bytearray, memoryview]),
+)
+def test_reference_matches_kernel(key, message, as_type):
+    assert hmac_sha256(key, as_type(message)) == reference_hmac_sha256(key, as_type(message))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,13 @@ import repro
 import repro.cluster
 import repro.cluster.aio
 import repro.cluster.rebalance
+import repro.core.blockio
+import repro.core.dummy
+import repro.core.keys
+import repro.crypto.kdf
 import repro.crypto.modes
+import repro.crypto.prng
+import repro.crypto.vector_aes
 import repro.net.client
 import repro.net.protocol
 import repro.storage
@@ -110,3 +118,70 @@ def test_retired_measurement_estate_is_gone():
         importlib.import_module("repro.storage.latency")
     assert not hasattr(repro, "LatencyDevice")
     assert not hasattr(repro.storage, "LatencyDevice")
+
+
+def test_one_digest_policy():
+    """SHA-256 / HMAC reach product code through ``repro.crypto`` only.
+
+    The compiled digests sit behind ``repro.crypto.sha256`` and
+    ``repro.crypto.hmac``; the from-scratch ``SHA256`` class and RFC 2104
+    construction are references for the tests.  Nothing selects between them.
+    """
+    package = Path(repro.__file__).parent
+    references = {"SHA256", "_compress", "reference_hmac_sha256"}
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text()
+        where = path.relative_to(package).as_posix()
+        assert "REPRO_CRYPTO" not in source, where
+        if where.startswith("crypto/"):
+            assert "backend" not in source.lower(), where
+            assert "environ" not in source and "getenv" not in source, where
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules, names = [alias.name for alias in node.names], []
+            elif isinstance(node, ast.ImportFrom):
+                modules, names = [node.module or ""], [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in ("hashlib", "hmac"), (where, node.lineno)
+                if module.startswith("repro.crypto"):
+                    assert not references & set(names), (where, node.lineno)
+    assert not hasattr(repro, "SHA256")
+    assert not hasattr(repro.crypto.vector_aes.VectorAES, "_mix_columns")
+
+
+def test_stegbench_patch_sites_resolve_and_bite(monkeypatch):
+    # benchmarks/stegbench/layers.py times these by replacing the attribute
+    # at the importing module, so each must exist there and be called
+    # through that module's globals.
+    blockio, kdf, prng = repro.core.blockio, repro.crypto.kdf, repro.crypto.prng
+    for module, name in (
+        (blockio, "ctr_xor"),
+        (blockio, "ctr_xor_many"),
+        (blockio, "ctr_xor_pad"),
+        (blockio, "ctr_xor_concat"),
+        (repro.core.keys, "subkey"),
+        (repro.core.dummy, "subkey"),
+        (kdf, "hmac_sha256"),
+        (prng, "sha256"),
+        # The package re-exports the function over the submodule's name.
+        (importlib.import_module("repro.crypto.sha256"), "sha256"),
+        (repro.crypto.vector_aes, "ctr_xor_many"),
+    ):
+        assert callable(vars(module)[name]), (module.__name__, name)
+    calls: list[str] = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for module, name in ((kdf, "hmac_sha256"), (prng, "sha256")):
+        monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    repro.core.keys.ObjectKeys.derive("owner:name", bytes(32))
+    prng.HashChainPRNG(b"seed").read(64)
+    assert calls.count("hmac_sha256") == 3 and calls.count("sha256") >= 2

@@ -51,7 +51,6 @@ from repro.core import (
     StegFSParams,
 )
 from repro.crypto import derive_key, generate_keypair, level_keys
-from repro.db import HiddenKVStore
 from repro.fs import FileSystem
 from repro.net import AsyncStegFSClient, StegFSClient, StegFSServer
 from repro.obs import MetricRegistry, SlowLog, Tracer, get_registry, get_tracer
@@ -67,7 +66,6 @@ from repro.storage import (
     SparseDevice,
     TraceRecordingDevice,
 )
-from repro.vfs import VFS
 from repro.workload import WorkloadSpec, generate_jobs, replay_interleaved
 
 __version__ = "1.0.0"
@@ -89,7 +87,6 @@ __all__ = [
     "HiddenDirEntry",
     "HiddenDirectory",
     "HiddenFile",
-    "HiddenKVStore",
     "MetricRegistry",
     "ObjectKeys",
     "RamDevice",
@@ -108,7 +105,6 @@ __all__ = [
     "StegRandStore",
     "TraceRecordingDevice",
     "Tracer",
-    "VFS",
     "WorkloadSpec",
     "census_unaccounted",
     "clean_disk",

@@ -8,9 +8,7 @@ cost is then exactly the hidden file's own block I/O, like the kernel
 implementation being measured in §5.
 
 Whole-object ``store``/``fetch`` ride the batched scatter-gather pipeline
-(one device call + one vectorised AES pass per operation); the extra
-:meth:`StegFSStore.fetch_range` / :meth:`StegFSStore.store_range` surface
-exposes the extent path for partial-access workloads.
+(one device call + one vectorised AES pass per operation).
 """
 
 from __future__ import annotations
@@ -78,28 +76,6 @@ class StegFSStore(FileStore):
         if file_id not in self._handles:
             raise HiddenObjectNotFoundError(f"no such hidden file {file_id!r}")
         return self._handle(file_id).read()
-
-    def fetch_range(self, file_id: str, offset: int, length: int) -> bytes:
-        """Read one extent of a stored file (batched block run).
-
-        The unseal runs as one concatenated batch (`unseal_concat`), so
-        the returned extent is the single output allocation of the whole
-        ciphertext→plaintext pass.
-        """
-        if file_id not in self._handles:
-            raise HiddenObjectNotFoundError(f"no such hidden file {file_id!r}")
-        return self._handle(file_id).read_extent(offset, length)
-
-    def store_range(self, file_id: str, offset: int, data: bytes) -> None:
-        """Overwrite one extent in place, growing the file if needed.
-
-        ``data`` may be any bytes-like object — a ``memoryview`` slice of
-        a received wire frame writes through without an intermediate
-        copy.
-        """
-        if file_id not in self._handles:
-            raise HiddenObjectNotFoundError(f"no such hidden file {file_id!r}")
-        self._handle(file_id).write_extent(offset, data)
 
     def delete(self, file_id: str) -> None:
         if file_id not in self._handles:

@@ -25,14 +25,6 @@ class InvalidKeyError(CryptoError):
     """A key had the wrong length or structure for the requested algorithm."""
 
 
-class AuthenticationError(CryptoError):
-    """A MAC / signature check failed; the data is corrupt or forged."""
-
-
-class PaddingError(CryptoError):
-    """Ciphertext padding was malformed during unpadding."""
-
-
 # ---------------------------------------------------------------------------
 # storage
 # ---------------------------------------------------------------------------

@@ -25,11 +25,15 @@ the wire has no way to supply a raw key positionally.
    opaque 16-byte **session token**.
 
 The raw UAK therefore never crosses the wire, in either direction; every
-subsequent hidden/session operation carries only the token.  Tokens are
-server-global (not per-connection) so a pooled client can spread one
-logical session over several sockets.  The server is the machine that
-already performs all hidden-object cryptography, so it is trusted with
-registered UAKs — exactly as the in-process service is.
+subsequent hidden/session operation carries only the token.  The token
+*is* the service session's id (16 random bytes; the id is their hex), so
+the :class:`~repro.service.sessions.SessionManager` is the only session
+table: a token lives exactly as long as its session (logout, idle
+eviction), is server-global (not per-connection) so a pooled client can
+spread one logical session over several sockets, and is never echoed in
+an error.  The server is the machine that already performs all
+hidden-object cryptography, so it is trusted with registered UAKs —
+exactly as the in-process service is.
 
 **Backpressure** — each connection may have at most ``max_inflight``
 requests executing; beyond that the read loop stops pulling frames off
@@ -88,6 +92,7 @@ from repro.obs.metrics import get_registry
 from repro.service.aio import AsyncServiceFront
 from repro.service.registry import OpSpec
 from repro.service.service import StegFSService
+from repro.service.sessions import ServiceSession
 
 __all__ = ["ServerHandle", "ServerStats", "StegFSServer", "start_in_thread"]
 
@@ -98,6 +103,10 @@ DEFAULT_MAX_INFLIGHT = 32
 #: sends endless ``hello`` frames without authenticating only recycles
 #: these slots instead of growing server memory.
 MAX_PENDING_CHALLENGES = 16
+
+#: The one answer to a token with no live session behind it (never
+#: opened, logged out, idle-evicted): fixed text, the token not in it.
+_BAD_TOKEN = "invalid or expired session token; authenticate again"
 
 
 @dataclass
@@ -123,16 +132,6 @@ class ServerStats:
             get_registry().gauge("net.server.connections_open").add(by)
         else:
             get_registry().counter(f"net.server.{name}").inc(by)
-
-
-@dataclass
-class _RemoteSession:
-    """Server-side record behind one issued session token."""
-
-    token: bytes
-    user_id: str
-    uak: bytes
-    service_session_id: str
 
 
 @dataclass(eq=False)  # identity-hashed: connections live in a set
@@ -172,7 +171,6 @@ class StegFSServer:
         self._max_inflight = max_inflight
         self._credentials: dict[str, bytes] = dict(credentials or {})
         self._credentials_lock = threading.Lock()
-        self._tokens: dict[bytes, _RemoteSession] = {}
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
         self._stopped = asyncio.Event()
@@ -394,9 +392,7 @@ class StegFSServer:
                 )
             session = self._resolve_token(args[0])
             args = args[1:]
-            credential = (
-                session.uak if spec.injects == "uak" else session.service_session_id
-            )
+            credential = session.uak if spec.injects == "uak" else session.session_id
             injected: dict[str, Any] = {spec.injects: credential}
         else:
             injected = {}
@@ -415,33 +411,14 @@ class StegFSServer:
         kwargs.update(injected)
         return kwargs
 
-    def _resolve_token(self, token: bytes) -> _RemoteSession:
-        session = self._tokens.get(token)
-        if session is None:
-            raise SessionAuthError("invalid or expired session token")
-        # A token is only as alive as the service session behind it: once
-        # the idle sweeper logs that session out (§4's logout semantics),
-        # the token — and the UAK it would inject — must die with it.
+    def _resolve_token(self, token: bytes) -> ServiceSession:
+        # The token is the service session's id, so it is exactly as alive
+        # as that session: logout or idle eviction (§4's logout semantics)
+        # kills it, and the UAK it would inject, in the one table there is.
         try:
-            self._service.sessions.get(session.service_session_id)
+            return self._service.sessions.get(token.hex())
         except SessionNotFoundError:
-            self._tokens.pop(token, None)
-            raise SessionAuthError(
-                "session expired (idle eviction); authenticate again"
-            ) from None
-        return session
-
-    def _prune_dead_tokens(self) -> None:
-        """Drop tokens whose service sessions no longer exist (clients
-        that vanished without logout); runs on every authenticate."""
-        live = set(self._service.sessions.active_ids())
-        dead = [
-            token
-            for token, session in self._tokens.items()
-            if session.service_session_id not in live
-        ]
-        for token in dead:
-            del self._tokens[token]
+            raise SessionAuthError(_BAD_TOKEN) from None
 
     # ------------------------------------------------------------------
     # handshake
@@ -478,35 +455,25 @@ class StegFSServer:
         if expected is None or not constant_time_equal(proof, expected):
             self.stats.bump("auth_failures")
             raise SessionAuthError(f"authentication failed for user {user_id!r}")
-        self._prune_dead_tokens()
         loop = asyncio.get_running_loop()
         session_id = await loop.run_in_executor(
             self._service.executor,
             functools.partial(self._service.open_session, user_id, uak),
         )
-        token = secrets.token_bytes(16)
-        self._tokens[token] = _RemoteSession(
-            token=token,
-            user_id=user_id,
-            uak=uak,
-            service_session_id=session_id,
-        )
         self.stats.bump("sessions_opened")
-        return token
+        return bytes.fromhex(session_id)
 
     async def _close_session(self, args: tuple[Any, ...]) -> None:
         if len(args) != 1 or not isinstance(args[0], bytes):
             raise ProtocolError("close_session takes exactly one token argument")
-        session = self._tokens.pop(args[0], None)
-        if session is None:
-            raise SessionAuthError("invalid or expired session token")
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._service.executor,
-            functools.partial(
-                self._service.close_session, session.service_session_id
-            ),
-        )
+        try:
+            await loop.run_in_executor(
+                self._service.executor,
+                functools.partial(self._service.close_session, args[0].hex()),
+            )
+        except SessionNotFoundError:
+            raise SessionAuthError(_BAD_TOKEN) from None
 
 
 # ---------------------------------------------------------------------------

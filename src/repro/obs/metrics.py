@@ -21,7 +21,7 @@ Design constraints, in order:
 The shared percentile machinery lives here too: :func:`percentile`
 (nearest-rank) and :class:`Reservoir` (Vitter's algorithm R with a
 deterministic, caller-locked RNG) are the single implementation that
-``ServiceStats`` and :mod:`repro.workload.metrics` both build on.
+``ServiceStats`` and the journal's batch percentiles build on.
 """
 
 from __future__ import annotations

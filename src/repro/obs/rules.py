@@ -365,20 +365,11 @@ def straggler_backlog_rule(min_samples: int = 3) -> Rule:
     return Rule(name="straggler_backlog", severity="warning", check=check)
 
 
-def default_rules(
-    *,
-    flap_window_s: float = 60.0,
-    quorum_widenings_per_s: float = 0.5,
-    error_budget: float = 0.01,
-    fsync_p99_ms: float = 100.0,
-    straggler_samples: int = 3,
-    detectability_budget: float = 0.6,
-    detectability_window_s: float | None = 120.0,
-    detectability_min_events: int = 3,
-) -> list[Rule]:
-    """The built-in rule set with tunable thresholds.
+def default_rules() -> list[Rule]:
+    """The built-in rule set, each rule at its factory's own thresholds.
 
-    ``detectability_budget`` caps the fused steganalysis score from
+    A collector that wants other thresholds passes its own ``rules=[…]``.
+    The detectability rule caps the fused steganalysis score from
     :mod:`repro.obs.steg` (imported lazily: that module builds on this
     one's :class:`Rule`/:class:`Firing` types).
     """
@@ -386,14 +377,10 @@ def default_rules(
 
     return [
         dead_shard_rule(),
-        flapping_shard_rule(window_s=flap_window_s),
-        quorum_widening_rule(per_second=quorum_widenings_per_s),
-        error_budget_rule(budget=error_budget),
-        fsync_p99_rule(threshold_ms=fsync_p99_ms),
-        straggler_backlog_rule(min_samples=straggler_samples),
-        detectability_budget_rule(
-            detectability_budget,
-            window_s=detectability_window_s,
-            min_events=detectability_min_events,
-        ),
+        flapping_shard_rule(),
+        quorum_widening_rule(),
+        error_budget_rule(),
+        fsync_p99_rule(),
+        straggler_backlog_rule(),
+        detectability_budget_rule(),
     ]

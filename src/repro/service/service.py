@@ -294,7 +294,6 @@ class StegFSService:
         max_workers: int = 8,
         idle_timeout: float | None = None,
         clock: Callable[[], float] = time.monotonic,
-        durable: bool | None = None,
     ) -> None:
         self._steg = steg
         self._stripes = LockStripes(n_stripes)
@@ -308,17 +307,12 @@ class StegFSService:
         # Group commit: on a journaled auto-flush volume the commit itself
         # only *appends*; the durable ack happens here, outside the volume
         # lock, so one fsync can cover every client whose record is already
-        # in the log.  ``durable=False`` keeps per-commit behaviour as the
-        # volume was configured (the naive per-op-fsync baseline when
-        # auto_flush is on; deferred durability when it is off).
+        # in the log.  Without a journal, or with auto_flush off, the
+        # volume keeps the durability it was configured with.
         self._txn = steg.txn
-        if durable is None:
-            durable = self._txn is not None and steg.auto_flush
-        if durable and self._txn is None:
-            raise ValueError("durable service acks need a journaled volume")
-        self._durable = durable
+        self._durable = self._txn is not None and steg.auto_flush
         self._restore_sync: bool | None = None
-        if durable:
+        if self._durable:
             self._restore_sync = self._txn.sync_on_commit
             self._txn.sync_on_commit = False
         if self._txn is not None:

@@ -49,6 +49,10 @@ __all__ = ["ServiceSession", "SessionManager"]
 
 _VERIFIER_SALT = b"repro.service.session-verifier.v1"
 
+#: A session id is a bearer credential (the network server hands its 16
+#: bytes out as the session token), so no error message carries one.
+_NO_SESSION = "no live session with that id (closed, evicted, or never opened)"
+
 
 def _verifier(uak: bytes) -> bytes:
     return sha256(_VERIFIER_SALT + uak)
@@ -169,9 +173,7 @@ class SessionManager:
         with self._lock:
             record = self._sessions.get(session_id)
             if record is None:
-                raise SessionNotFoundError(
-                    f"no live session {session_id!r} (closed, evicted, or never opened)"
-                )
+                raise SessionNotFoundError(_NO_SESSION)
             record.touch(now)
             return record
 
@@ -192,9 +194,7 @@ class SessionManager:
         with self._lock:
             record = self._sessions.get(session_id)
             if record is None:
-                raise SessionNotFoundError(
-                    f"no live session {session_id!r} (closed, evicted, or never opened)"
-                )
+                raise SessionNotFoundError(_NO_SESSION)
             record.touch(now)
             record.pins += 1
         try:
@@ -209,7 +209,7 @@ class SessionManager:
         with self._lock:
             record = self._sessions.pop(session_id, None)
         if record is None:
-            raise SessionNotFoundError(f"no live session {session_id!r}")
+            raise SessionNotFoundError(_NO_SESSION)
         with record.lock:
             record.session.disconnect_all()
 

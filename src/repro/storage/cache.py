@@ -121,11 +121,6 @@ class CachedDevice(BlockDevice):
                 dirty_blocks=len(self._dirty),
             )
 
-    def reset_stats(self) -> None:
-        """Zero the counters (cache contents are untouched)."""
-        with self._lock:
-            self._hits = self._misses = self._evictions = self._writebacks = 0
-
     def snapshot(self) -> dict[int, bytes]:
         """Copy of the cached blocks (index → data), for verification."""
         with self._lock:

@@ -1,8 +1,8 @@
 """End-to-end scenario across every layer of the system.
 
-One long, stateful walk: mkfs → plain tree → hidden objects → sessions and
-VFS handles → sharing → snapshot attacker → backup → disk death → recovery
-→ post-recovery work.  Asserts cross-layer consistency (exact bitmap
+One long, stateful walk: mkfs → plain tree → hidden objects → sharing →
+session I/O → snapshot attacker → backup → disk death → recovery →
+post-recovery work.  Asserts cross-layer consistency (exact bitmap
 accounting) at each stage.
 """
 
@@ -17,7 +17,6 @@ from repro.core import StegFS, StegFSParams
 from repro.crypto import derive_key, generate_keypair, level_keys
 from repro.errors import HiddenObjectNotFoundError
 from repro.storage.block_device import RamDevice
-from repro.vfs import VFS
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +59,11 @@ def world():
     blob = steg.steg_getentry("vault/salaries.xls", sensitive, bob_keys.public)
     steg.steg_addentry(blob, bob_uak, bob_keys.private)
 
-    # VFS activity over a connected object.
+    # Session activity over a connected object.
     steg.steg_connect("vault", sensitive)
-    vfs = VFS(steg)
-    with vfs.open("/steg/vault/plans.txt", "a") as handle:
-        handle.write(b"\nappended via vfs")
+    plans = steg.session.read("vault/plans.txt")
+    steg.session.write("vault/plans.txt", plans + b"\nappended via session")
+    steg.flush()
 
     backup = steg.steg_backup()
     return {
@@ -104,10 +103,10 @@ class TestLiveVolume:
         steg = world["steg"]
         assert steg.steg_read("salaries.xls", world["bob_uak"]) == world["salaries"]
 
-    def test_vfs_write_through(self, world):
+    def test_session_write_through(self, world):
         steg = world["steg"]
         content = steg.steg_read("vault/plans.txt", world["sensitive"])
-        assert content.endswith(b"\nappended via vfs")
+        assert content.endswith(b"\nappended via session")
 
     def test_bitmap_accounting_is_exact(self, world):
         """allocated == metadata + plain-owned + ground-truth hidden."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import random
 import socket
 import struct
 import threading
@@ -273,6 +274,60 @@ class TestConnectionPool:
         client.close()
         with pytest.raises(ConnectionClosedError):
             client.ping()
+
+
+class TestConcurrentSessions:
+    N_CLIENTS = 4
+    ROUNDS = 6
+
+    def test_separate_logins_run_a_mixed_loop_at_once(self, address, server, service):
+        # Each thread owns its connection and its login.  Shared objects
+        # are read and rewritten by everyone (a read must be one writer's
+        # whole fill, never a blend); private ones are created, verified
+        # and deleted; nothing may raise.
+        shared = [f"shared-{i}" for i in range(3)]
+        with StegFSClient(*address) as setup:
+            setup.login(USER, UAK)
+            for name in shared:
+                setup.steg_create(name, data=b"\xff" * 512)
+            setup.logout()
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(self.N_CLIENTS)
+
+        def client(tid: int) -> None:
+            rng = random.Random(700 + tid)
+            try:
+                with StegFSClient(*address) as c:
+                    c.login(USER, UAK)
+                    barrier.wait(timeout=60)
+                    for round_ in range(self.ROUNDS):
+                        data = c.steg_read(rng.choice(shared))
+                        assert len(data) == 512 and len(set(data)) == 1
+                        c.steg_write(rng.choice(shared), bytes([tid]) * 512)
+                        mine = f"c{tid}-{round_}"
+                        payload = rng.randbytes(rng.randint(100, 700))
+                        c.steg_create(mine, data=payload)
+                        assert c.steg_read(mine) == payload
+                        c.steg_delete(mine)
+                    c.logout()
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(tid,), name=f"wire-{tid}")
+            for tid in range(self.N_CLIENTS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert server.server.stats.sessions_opened == self.N_CLIENTS + 1
+        assert service.sessions.active_count() == 0
+        with StegFSClient(*address) as check:
+            check.login(USER, UAK)
+            assert sorted(check.steg_list()) == shared
 
 
 class TestAsyncClient:

@@ -84,12 +84,13 @@ def test_activity_keeps_token_alive(evicting_server, clock):
 def test_authenticate_prunes_tokens_of_vanished_clients(
     evicting_server, evicting_service, clock
 ):
-    server = evicting_server.server
     ghost = StegFSClient(*evicting_server.address)
     ghost.login(USER, UAK)
     ghost.close()  # vanished without logout
-    assert len(server._tokens) == 1
+    assert evicting_service.sessions.active_count() == 1
     clock.advance(61.0)  # ghost's session gets idle-evicted
     with StegFSClient(*evicting_server.address) as client:
-        client.login(USER, UAK)  # prunes dead tokens
-        assert len(server._tokens) == 1  # only the live login remains
+        client.login(USER, UAK)  # opening a session reaps the idle ones
+        # The token is the session: there is no second table for a dead
+        # client's entry (and its UAK) to linger in.
+        assert evicting_service.sessions.active_count() == 1

@@ -16,8 +16,6 @@ from __future__ import annotations
 import random
 import threading
 
-from repro.workload.live import OpMix, populate_hidden_files, run_live_clients
-
 N_THREADS = 16
 FILES_PER_THREAD = 2
 INCREMENTS_PER_THREAD = 5
@@ -94,21 +92,3 @@ def test_sixteen_thread_mixed_workload_no_corruption(service, cached, backing, u
         assert backing.read_block(index) == data
     assert cached.image() == backing.image()
 
-
-def test_sixteen_live_clients_mixed_mix_runs_clean(service, cached, backing, uak):
-    names = populate_hidden_files(service, uak, n_files=4, file_size=512, seed=3)
-    result = run_live_clients(
-        service,
-        uak,
-        names,
-        n_clients=16,
-        ops_per_client=6,
-        mix=OpMix(read=0.6, write=0.2, create=0.1, delete=0.1),
-        payload_size=256,
-        seed=7,
-    )
-    assert result.total_errors == 0
-    assert result.total_ops == 16 * 6
-    service.flush()
-    for index, data in cached.snapshot().items():
-        assert backing.read_block(index) == data

@@ -23,6 +23,7 @@ import repro.crypto.vector_aes
 import repro.net.client
 import repro.net.protocol
 import repro.storage
+import repro.workload
 
 
 @pytest.mark.parametrize("package", [repro, repro.cluster], ids=lambda m: m.__name__)
@@ -38,6 +39,30 @@ def test_threaded_cluster_plane_is_gone():
     for name in ("ClusterClient", "RemoteShard", "ServiceShard", "ShardBackend"):
         assert not hasattr(repro, name)
         assert not hasattr(repro.cluster, name)
+
+
+def test_orphan_packages_are_gone():
+    for module in (
+        "repro.vfs",
+        "repro.db",
+        "repro.workload.live",
+        "repro.workload.metrics",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    for name in (
+        "VFS",
+        "HiddenKVStore",
+        "run_live_clients",
+        "run_remote_clients",
+        "OpMix",
+        "summarize",
+    ):
+        assert not hasattr(repro, name)
+        assert not hasattr(repro.workload, name)
+    # An instance attribute, so ask the class body: one session table.
+    assert "_tokens" not in inspect.getsource(repro.StegFSServer)
+    assert "durable" not in inspect.signature(repro.StegFSService).parameters
 
 
 def test_one_wire_client():

@@ -1,11 +1,10 @@
-"""Workload spec, job generation, metric helpers."""
+"""Workload spec and job generation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.workload.generator import KB, MB, WorkloadSpec, generate_jobs
-from repro.workload.metrics import space_utilization, summarize
 
 
 class TestWorkloadSpec:
@@ -65,24 +64,3 @@ class TestGenerateJobs:
     def test_seed_changes_population(self):
         sizes = lambda seed: [j.size for j in generate_jobs(WorkloadSpec(n_files=20, seed=seed))]
         assert sizes(1) != sizes(2)
-
-
-class TestMetrics:
-    def test_summarize(self):
-        s = summarize([4.0, 1.0, 3.0, 2.0])
-        assert s.n == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.median == pytest.approx(2.5)
-
-    def test_summarize_odd_and_empty(self):
-        assert summarize([5.0, 1.0, 3.0]).median == 3.0
-        assert summarize([]).n == 0
-
-    def test_space_utilization(self):
-        assert space_utilization(750, 1000) == pytest.approx(0.75)
-        with pytest.raises(ValueError):
-            space_utilization(1, 0)
-        with pytest.raises(ValueError):
-            space_utilization(-1, 10)

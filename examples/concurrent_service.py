@@ -9,7 +9,7 @@ that scenario for real:
 2. serve two authenticated users (independent UAKs) plus a pool of
    worker threads hammering reads through the service's futures API;
 3. increment a shared hidden counter from many threads at once — the
-   striped-lock read–modify–write loses nothing;
+   read–modify–write under the exclusive volume lock loses nothing;
 4. show the cache statistics and the per-operation service counters,
    walking the shared op registry (`StegFSService.OPS`) instead of a
    hardcoded op list — the same table the network server routes by.
@@ -43,7 +43,7 @@ def main() -> None:
     )
     service = StegFSService(steg, max_workers=N_WORKERS, idle_timeout=300.0)
     print(f"Serving a {backing.capacity // 1024} KB volume with "
-          f"{len(service.sessions.active_ids())} sessions and {N_WORKERS} workers")
+          f"{service.sessions.active_count()} sessions and {N_WORKERS} workers")
 
     # -- 1. two users, independent keys, independent hidden namespaces ----
     alice_uak = derive_key("alice: correct horse battery staple")
@@ -70,10 +70,9 @@ def main() -> None:
           f"{stats.hit_rate:.0%} ({stats.hits} hits / {stats.misses} misses)")
 
     # -- 3. lost-update-free shared counter -------------------------------
-    # dispatch() routes by name through the shared op registry, exactly
-    # like the network server does — no getattr guessing, typed error on
-    # a misspelled op.
-    service.dispatch("steg_create", "counter", alice_uak, data=b"0")
+    # submit() routes each name through the shared op registry, exactly
+    # like the network server does — a misspelled op is a typed error.
+    service.steg_create("counter", alice_uak, data=b"0")
     increments = [
         service.submit(
             "steg_update", "counter", alice_uak,

@@ -41,10 +41,6 @@ class Session:
         """Sorted names currently visible in this session."""
         return sorted(self._entries)
 
-    def is_connected(self, name: str) -> bool:
-        """Whether ``name`` is visible."""
-        return name in self._entries
-
     # ------------------------------------------------------------------
     # connect / disconnect
     # ------------------------------------------------------------------
@@ -93,10 +89,3 @@ class Session:
     def write(self, name: str, data: bytes) -> None:
         """Replace a connected object's contents."""
         self.get(name).write(data)
-
-    def listdir(self, name: str) -> list[str]:
-        """Child names of a connected hidden directory."""
-        hidden = self.get(name)
-        if not hidden.is_directory:
-            raise NotConnectedError(f"{name!r} is not a hidden directory")
-        return HiddenDirectory(hidden).names()

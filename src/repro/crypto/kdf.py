@@ -26,20 +26,7 @@ KEY_SIZE = 32
 
 # Domain-separation tags.  Each derived key states what it is for, so a key
 # derived for encryption can never collide with one derived for signatures.
-_PURPOSES = frozenset(
-    {
-        "encrypt",
-        "signature",
-        "locator",
-        "mac",
-        "directory",
-        "pool",
-        "level",
-        "dummy",
-        "share",
-        "backup",
-    }
-)
+_PURPOSES = frozenset({"encrypt", "signature", "locator", "mac", "dummy"})
 
 
 def iterated_kdf(passphrase: bytes, salt: bytes, iterations: int = 1000) -> bytes:

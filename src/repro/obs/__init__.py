@@ -18,8 +18,9 @@ design and by test (``tests/obs/test_deniability.py``):
 Five parts:
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricRegistry` of
-  named counters, gauges and fixed-bucket histograms (lock-striped,
-  O(1) record, mergeable snapshots, text exposition).  ``ServiceStats``,
+  named counters, gauges and fixed-bucket histograms (one creation
+  lock, lock-free lookup, O(1) record, mergeable snapshots, text
+  exposition).  ``ServiceStats``,
   ``TxnStats``, ``CacheStats``, ``ServerStats`` and the cluster counters
   all mirror onto it.
 * :mod:`repro.obs.trace` — span-tree tracing with ``contextvars``

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.metrics import (
+    bucket_percentile,
     get_registry,
     merge_snapshots,
     normalize_snapshot,
@@ -334,18 +335,8 @@ class TimeSeriesRing:
         resolve to the latest sample's ``max``.
         """
         delta = self.histogram_delta(name, window_s)
-        total = delta["count"]
-        if total <= 0:
-            return 0.0
-        target = max(1, int(round(p / 100.0 * total)))
-        running = 0
-        for le in sorted(delta["buckets"]):
-            running += delta["buckets"][le]
-            if running >= target:
-                return float(le)
-        latest = self.latest() or {}
-        data = latest.get("metrics", {}).get(name, {})
-        return float(data.get("max", 0.0))
+        latest = (self.latest() or {}).get("metrics", {}).get(name, {})
+        return bucket_percentile(delta["buckets"], delta["count"], p, float(latest.get("max", 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +579,8 @@ class TelemetryCollector:
             if ops_rate == 0.0:
                 # Remote single-service processes report per-service ops;
                 # a coordinator target reports none — fall back to the
-                # cluster counters it does have.
-                ops_rate = ring.rate("cluster.reads", window_s) + ring.rate(
-                    "cluster.writes", window_s
-                ) + ring.rate("cluster.async.reads", window_s) + ring.rate(
+                # coordinator's own read / write counters.
+                ops_rate = ring.rate("cluster.async.reads", window_s) + ring.rate(
                     "cluster.async.writes", window_s
                 )
             hits = ring.rate("storage.cache.hits", window_s)
@@ -630,15 +619,7 @@ def _latency_p99(ring: TimeSeriesRing, window_s: float | None) -> float:
         total += delta["count"]
         data = latest.get("metrics", {}).get(name, {})
         maxima = max(maxima, float(data.get("max", 0.0)))
-    if total <= 0:
-        return 0.0
-    target = max(1, int(round(0.99 * total)))
-    running = 0
-    for le in sorted(buckets):
-        running += buckets[le]
-        if running >= target:
-            return float(le)
-    return maxima
+    return bucket_percentile(buckets, total, 99.0, maxima)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 Design constraints, in order:
 
 * **O(1) record** — instruments are plain objects with one small lock;
-  hot paths hold a direct reference (no name lookup per event).  The
-  registry itself is **lock-striped**: metric *creation* hashes the name
-  onto one of N stripes, so two subsystems registering metrics never
-  contend, and recording never touches the registry at all.
+  hot paths hold a direct reference or a lock-free dict lookup.  The
+  registry's one lock guards metric *creation* (once per name) and
+  catalog iteration; recording never takes it.
 * **RAM-only** — nothing here imports a device, opens a file, or keeps a
   reference to anything that could; snapshots and exposition are strings
   and dicts built on demand.
@@ -21,7 +20,9 @@ Design constraints, in order:
 The shared percentile machinery lives here too: :func:`percentile`
 (nearest-rank) and :class:`Reservoir` (Vitter's algorithm R with a
 deterministic, caller-locked RNG) are the single implementation that
-``ServiceStats`` and the journal's batch percentiles build on.
+``ServiceStats`` and the journal's batch percentiles build on;
+:func:`bucket_percentile` is the one bucket-resolution estimate behind
+histograms and the collector's windowed views.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "Reservoir",
+    "bucket_percentile",
     "escape_label_value",
     "get_registry",
-    "median",
     "merge_snapshots",
     "normalize_snapshot",
     "percentile",
@@ -68,10 +69,6 @@ DEFAULT_LATENCY_BUCKETS_MS = (
     5000.0,
 )
 
-#: Registry stripes: metric creation contention is spread over this many
-#: locks (recording uses per-instrument locks, never these).
-_N_STRIPES = 16
-
 
 # ---------------------------------------------------------------------------
 # shared percentile / reservoir primitives
@@ -91,14 +88,19 @@ def percentile(ordered: Sequence[float], p: float) -> float:
     return float(ordered[rank])
 
 
-def median(ordered: Sequence[float]) -> float:
-    """Midpoint median (averages the two central values for even n)."""
-    if not ordered:
+def bucket_percentile(buckets: dict[float, int], count: int, p: float, overflow: float) -> float:
+    """Bucket-resolution percentile: the upper bound of the bucket holding
+    rank ``p`` of ``count`` observations, else ``overflow`` (the observed
+    max, for ranks past the last bound); no observations yield 0.0."""
+    if count <= 0:
         return 0.0
-    n = len(ordered)
-    if n % 2:
-        return float(ordered[n // 2])
-    return (float(ordered[n // 2 - 1]) + float(ordered[n // 2])) / 2.0
+    target = max(1, int(round(p / 100.0 * count)))
+    running = 0
+    for le in sorted(buckets):
+        running += buckets[le]
+        if running >= target:
+            return float(le)
+    return overflow
 
 
 class Reservoir:
@@ -305,18 +307,9 @@ class Histogram:
         """Bucket-resolution percentile estimate (upper bound of the
         bucket holding the target rank; ``max`` for the +Inf bucket)."""
         with self._lock:
-            counts = list(self._counts)
-            count = self.count
-            mx = self._max
-        if not count:
-            return 0.0
-        target = max(1, int(round(p / 100.0 * count)))
-        running = 0
-        for le, c in zip(self._bounds, counts):
-            running += c
-            if running >= target:
-                return le
-        return mx
+            buckets = dict(zip(self._bounds, self._counts))
+            count, mx = self.count, self._max
+        return bucket_percentile(buckets, count, p, mx)
 
 
 Metric = Counter | Gauge | Histogram
@@ -328,7 +321,7 @@ Metric = Counter | Gauge | Histogram
 
 
 class MetricRegistry:
-    """Named instruments for one process, lock-striped by metric name.
+    """Named instruments for one process.
 
     ``counter()``/``gauge()``/``histogram()`` are get-or-create and
     idempotent; asking for an existing name with a different instrument
@@ -336,37 +329,25 @@ class MetricRegistry:
     """
 
     def __init__(self) -> None:
-        self._stripes = tuple(threading.Lock() for _ in range(_N_STRIPES))
         self._metrics: dict[str, Metric] = {}
-        # Registration mutates the dict under a stripe; iteration for
-        # snapshots takes a stable copy under this one.
-        self._catalog_lock = threading.Lock()
-
-    def _stripe(self, name: str) -> threading.Lock:
-        return self._stripes[hash(name) % _N_STRIPES]
+        # Guards registration and catalog copies; a lookup of an existing
+        # name (every record after the first) reads the dict without it.
+        self._lock = threading.Lock()
 
     def _get_or_create(self, name: str, factory: Callable[[], Metric], kind: type) -> Metric:
         if not name:
             raise ValueError("metric name must be non-empty")
         metric = self._metrics.get(name)
-        if metric is not None:
-            if not isinstance(metric, kind):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(metric).__name__}, not {kind.__name__}"
-                )
-            return metric
-        with self._stripe(name):
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = factory()
-                with self._catalog_lock:
-                    self._metrics[name] = metric
-            elif not isinstance(metric, kind):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(metric).__name__}, not {kind.__name__}"
-                )
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = self._metrics[name] = factory()
+        if not isinstance(metric, kind):
+            raise TypeError(
+                f"metric {name!r} already registered as "
+                f"{type(metric).__name__}, not {kind.__name__}"
+            )
         return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
@@ -390,23 +371,23 @@ class MetricRegistry:
 
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
-        with self._catalog_lock:
+        with self._lock:
             return sorted(self._metrics)
 
     def get(self, name: str) -> Metric | None:
         """The instrument behind ``name``, if registered."""
-        with self._catalog_lock:
+        with self._lock:
             return self._metrics.get(name)
 
     def unregister(self, name: str) -> None:
         """Drop one metric (tests; production metrics live forever)."""
-        with self._catalog_lock:
+        with self._lock:
             self._metrics.pop(name, None)
 
     def reset(self) -> None:
         """Drop every metric (tests only — references held by
         instrumented code keep counting into the orphaned objects)."""
-        with self._catalog_lock:
+        with self._lock:
             self._metrics.clear()
 
     # ------------------------------------------------------------------
@@ -420,7 +401,7 @@ class MetricRegistry:
         "value"| histogram fields...}`` — mergeable with
         :func:`merge_snapshots` and JSON-serialisable as-is.
         """
-        with self._catalog_lock:
+        with self._lock:
             items = list(self._metrics.items())
         out: dict[str, dict] = {}
         for name, metric in sorted(items):

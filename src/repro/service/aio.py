@@ -1,8 +1,8 @@
 """Awaitable front over a blocking :class:`~repro.service.StegFSService`.
 
 The service's operation surface is synchronous by design — crypto and
-block I/O run on its worker pool, guarded by striped reader–writer
-locks.  Event-loop callers (the TCP server in :mod:`repro.net.server`,
+block I/O run on its worker pool, guarded by one reader–writer volume
+lock.  Event-loop callers (the TCP server in :mod:`repro.net.server`,
 the async cluster coordinator, application code on asyncio) need that
 same surface *awaitable* without blocking the loop and without a second
 dispatch table.  :class:`AsyncServiceFront` is that adapter:

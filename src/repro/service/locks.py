@@ -1,36 +1,26 @@
-"""Reader–writer locks and lock striping for the multi-client service.
+"""The reader–writer lock behind the multi-client service's volume lock.
 
 :class:`RWLock` is a classic condition-variable reader–writer lock with
 writer preference: any number of readers share it, a writer gets it alone,
 and arriving readers queue behind a waiting writer so sustained read
 traffic cannot starve mutations.
-
-:class:`LockStripes` spreads a key space (hidden object names, plain
-paths) over a fixed array of :class:`RWLock` stripes.  Keys hash to
-stripes with CRC-32, so the mapping is stable across processes and runs —
-two sessions touching the same object always contend on the same stripe,
-while sessions touching different objects almost always proceed in
-parallel.  :meth:`LockStripes.stripes_for` returns the (deduplicated)
-stripes for a set of keys in ascending index order, the canonical
-acquisition order that makes multi-object operations deadlock-free.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["RWLock", "LockStripes"]
+__all__ = ["RWLock"]
 
 
 class RWLock:
     """Shared/exclusive lock with writer preference.
 
     Not reentrant: a thread must not re-acquire a lock it already holds in
-    either mode (the service layer acquires each stripe exactly once per
-    operation, in sorted order).
+    either mode (the service takes its volume lock exactly once per
+    operation).
     """
 
     def __init__(self) -> None:
@@ -93,27 +83,3 @@ class RWLock:
         finally:
             self.release_write()
 
-
-class LockStripes:
-    """A fixed array of :class:`RWLock` stripes addressed by hashed key."""
-
-    def __init__(self, n_stripes: int = 64) -> None:
-        if n_stripes <= 0:
-            raise ValueError(f"n_stripes must be positive, got {n_stripes}")
-        self._stripes = [RWLock() for _ in range(n_stripes)]
-
-    def __len__(self) -> int:
-        return len(self._stripes)
-
-    def index_for(self, key: str) -> int:
-        """Stable stripe index for ``key``."""
-        return zlib.crc32(key.encode("utf-8")) % len(self._stripes)
-
-    def for_key(self, key: str) -> RWLock:
-        """The stripe guarding ``key``."""
-        return self._stripes[self.index_for(key)]
-
-    def stripes_for(self, *keys: str) -> list[RWLock]:
-        """Deduplicated stripes for ``keys``, in canonical (index) order."""
-        indices = sorted({self.index_for(key) for key in keys})
-        return [self._stripes[i] for i in indices]

@@ -5,23 +5,19 @@ single-threaded — they share one bitmap, one inode cache and one device.
 :class:`StegFSService` is the concurrency boundary that lets real client
 threads hammer a volume the way §5.3 of the paper hammers its testbed:
 
-* **Striped reader–writer locks** (:class:`~repro.service.locks.
-  LockStripes`) — every operation locks the stripe(s) of the objects it
-  names: shared for reads, exclusive for mutations.  Two sessions reading
-  *different* objects never wait on each other's stripes; two writers of
-  the *same* object always serialize.  Multi-object operations
-  (``steg_hide``/``steg_unhide`` touch a plain path *and* a hidden name)
-  take their stripes in canonical index order, so they cannot deadlock.
-* **A global volume reader–writer lock** — readers share it, mutations
-  hold it exclusively.  This is what protects the core's shared
-  structures (bitmap, allocators, inode cache, dirty sets) until they
-  grow finer-grained locking; the stripes are the scaffolding future
-  sharding PRs will hang parallel mutations on.
+* **One reader–writer volume lock** (:class:`~repro.service.locks.
+  RWLock`) — every operation takes it once: shared for reads, exclusive
+  for mutations.  The structures the core shares (bitmap, allocators,
+  free pools, inode cache, journal) are all volume-wide, so this one
+  lock is what protects them; load spreads over volumes
+  (:mod:`repro.cluster`), not over locks inside one.
+* **Group commit** — on a journaled auto-flush volume a mutation only
+  appends its record under the lock and waits for the fsync after
+  releasing it, so concurrent clients share one barrier.
 * **Read–modify–write without lost updates** — :meth:`steg_update` holds
-  the object's stripe exclusively across the whole read→compute→write
-  cycle while taking the volume lock only as needed, so concurrent
-  updates to one object serialize and updates to different objects
-  overlap their compute phases.
+  the volume lock exclusively across read → ``fn`` → write, so it is
+  atomic against every other operation.  ``fn`` runs under that lock and
+  must not call back into the service.
 * **A worker pool** — :meth:`submit` dispatches any service operation to
   a :class:`~concurrent.futures.ThreadPoolExecutor` and returns a
   :class:`~concurrent.futures.Future`, giving callers an async surface
@@ -44,12 +40,11 @@ import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.core.stegfs import StegFS
-from repro.crypto.sha256 import sha256_hex
 from repro.errors import ServiceClosedError
 from repro.fs.filesystem import FileStat
 from repro.obs import _state as _obs_state
@@ -57,12 +52,11 @@ from repro.obs.admin import install_obs_ops
 from repro.obs.metrics import Reservoir, get_registry, percentile
 from repro.obs.slowlog import get_slowlog
 from repro.obs.trace import current_context, maybe_span
-from repro.service.locks import LockStripes, RWLock
+from repro.service.locks import RWLock
 from repro.service.registry import build_registry, lookup, service_op
-from repro.service.sessions import ServiceSession, SessionManager
-from repro.storage.txn import JournalMetrics
+from repro.service.sessions import SessionManager
 
-__all__ = ["OpStats", "ServiceStats", "StatsSnapshot", "StegFSService"]
+__all__ = ["OpStats", "ServiceStats", "StegFSService"]
 
 #: Latency samples kept per operation for percentile estimation.  A
 #: bounded reservoir (Vitter's algorithm R) keeps memory O(1) per op while
@@ -106,14 +100,6 @@ class OpStats:
         return self.percentile_ms(99.0)
 
 
-class StatsSnapshot(dict):
-    """``snapshot()`` result: an ``op → OpStats`` mapping that also carries
-    the volume's journal/commit counters (``.journal``, None when the
-    volume has no write-ahead journal)."""
-
-    journal: JournalMetrics | None = None
-
-
 class ServiceStats:
     """Thread-safe per-operation counters with latency percentiles.
 
@@ -132,9 +118,6 @@ class ServiceStats:
     """
 
     def __init__(self, reservoir_size: int = RESERVOIR_SIZE) -> None:
-        #: Callable returning the journal metrics to embed in snapshots
-        #: (wired by the owning service; None → no journal).
-        self.journal_source: Callable[[], JournalMetrics | None] | None = None
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
         self._errors: dict[str, int] = {}
@@ -164,38 +147,22 @@ class ServiceStats:
                 )
             reservoir.add(elapsed_ms)
 
-    def snapshot(self) -> StatsSnapshot:
+    def snapshot(self) -> dict[str, OpStats]:
         """Point-in-time copy of every operation's counters.
 
-        The returned mapping behaves exactly like the historical
-        ``dict[str, OpStats]`` and additionally exposes ``.journal`` —
-        commits, fsyncs, group-commit batch percentiles, checkpoints and
-        replayed records — when the volume is journaled.
+        The volume's journal counters (commits, fsyncs, group-commit
+        batches) are ``steg.txn.stats.snapshot()``, not repeated here.
         """
         with self._lock:
-            snap = StatsSnapshot(
-                {
-                    op: OpStats(
-                        count=self._counts[op],
-                        errors=self._errors.get(op, 0),
-                        total_s=self._times[op],
-                        samples_ms=(
-                            self._samples[op].values()
-                            if op in self._samples
-                            else ()
-                        ),
-                    )
-                    for op in self._counts
-                }
-            )
-        snap.journal = self.journal_source() if self.journal_source else None
-        return snap
-
-    @property
-    def total_ops(self) -> int:
-        """Total calls recorded across all operations."""
-        with self._lock:
-            return sum(self._counts.values())
+            return {
+                op: OpStats(
+                    count=self._counts[op],
+                    errors=self._errors.get(op, 0),
+                    total_s=self._times[op],
+                    samples_ms=self._samples[op].values(),
+                )
+                for op in self._counts
+            }
 
 
 def _observe_op(name: str, elapsed_ms: float, failed: bool) -> None:
@@ -242,42 +209,6 @@ def _counted(method: Callable[..., Any]) -> Callable[..., Any]:
     return wrapper
 
 
-class _CommitWindow:
-    """Captures the journal sequence one locked mutation produced.
-
-    ``open()``/``close()`` bracket the mutation *while the volume lock is
-    held* (mutations serialize on it, so the delta is exactly this op's
-    commit); ``wait()`` runs after every lock is released, which is what
-    lets concurrent clients share one fsync.  A window built with
-    ``txn=None`` (non-durable service) is a no-op.
-    """
-
-    __slots__ = ("_txn", "_before", "seq")
-
-    def __init__(self, txn: Any | None) -> None:
-        self._txn = txn
-        self._before = 0
-        self.seq = 0
-
-    def open(self) -> None:
-        """Record the pre-mutation commit sequence (call under the lock)."""
-        if self._txn is not None:
-            self._before = self._txn.last_commit_seq
-
-    def close(self) -> None:
-        """Record the post-mutation sequence (still under the lock); ops
-        that committed nothing produce no wait."""
-        if self._txn is not None:
-            after = self._txn.last_commit_seq
-            if after != self._before:
-                self.seq = after
-
-    def wait(self) -> None:
-        """Block until this op's record is durable (group commit)."""
-        if self._txn is not None and self.seq:
-            self._txn.wait_durable(self.seq)
-
-
 class StegFSService:
     """Concurrent facade over one mounted :class:`StegFS` volume.
 
@@ -290,13 +221,11 @@ class StegFSService:
     def __init__(
         self,
         steg: StegFS,
-        n_stripes: int = 64,
         max_workers: int = 8,
         idle_timeout: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._steg = steg
-        self._stripes = LockStripes(n_stripes)
         self._volume_lock = RWLock()
         self._sessions = SessionManager(steg, idle_timeout=idle_timeout, clock=clock)
         self._executor = ThreadPoolExecutor(
@@ -308,15 +237,12 @@ class StegFSService:
         # only *appends*; the durable ack happens here, outside the volume
         # lock, so one fsync can cover every client whose record is already
         # in the log.  Without a journal, or with auto_flush off, the
-        # volume keeps the durability it was configured with.
-        self._txn = steg.txn
-        self._durable = self._txn is not None and steg.auto_flush
-        self._restore_sync: bool | None = None
-        if self._durable:
+        # volume keeps the durability it was configured with (``_txn`` is
+        # None, and a mutation waits for nothing).
+        self._txn = steg.txn if steg.auto_flush else None
+        if self._txn is not None:
             self._restore_sync = self._txn.sync_on_commit
             self._txn.sync_on_commit = False
-        if self._txn is not None:
-            self._stats.journal_source = self._txn.stats.snapshot
 
     # ------------------------------------------------------------------
     # accessors
@@ -352,60 +278,27 @@ class StegFSService:
     # locking helpers
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _canonical(path: str) -> str:
-        # Same split-and-filter that name resolution applies, so spelling
-        # variants ("a//b", "/a/b/") land on one stripe.
-        return "/".join(part for part in path.split("/") if part)
-
-    @classmethod
-    def _plain_key(cls, path: str) -> str:
-        return "p:" + cls._canonical(path)
-
-    @classmethod
-    def _hidden_key(cls, objname: str, uak: bytes) -> str:
-        # The stripe key must separate users who reuse an object name
-        # without leaking the UAK into any data structure: an 8-byte hash
-        # prefix keeps collisions harmless (extra contention only).
-        tag = sha256_hex(uak)[:16]
-        return f"h:{tag}:{cls._canonical(objname)}"
+    def _shared(self) -> AbstractContextManager[None]:
+        """The volume lock, shared (read-only operations)."""
+        return self._volume_lock.read_locked()
 
     @contextmanager
-    def _shared(self, *keys: str) -> Iterator[None]:
-        """Shared stripes + shared volume lock (read-only operations)."""
-        with ExitStack() as stack:
-            for stripe in self._stripes.stripes_for(*keys):
-                stack.enter_context(stripe.read_locked())
-            stack.enter_context(self._volume_lock.read_locked())
-            yield
+    def _exclusive(self) -> Iterator[None]:
+        """The volume lock, exclusive (mutations), with the group-commit ack.
 
-    @contextmanager
-    def _exclusive(self, *keys: str) -> Iterator[None]:
-        """Exclusive stripes + exclusive volume lock (mutations).
-
-        On a durable service the commit sequence the mutation produced is
-        captured while the lock is still held (see :class:`_CommitWindow`),
-        and the durability wait — the group-commit fsync — happens *after*
-        every lock is released.
+        On a durable service the commit sequence is read on both sides of
+        the mutation while the lock is held (mutations serialize on it, so
+        a moved sequence is exactly this op's record), and the durability
+        wait — the group-commit fsync — runs after the lock is released.
+        An exception skips the wait: a failed op acknowledges nothing.
         """
-        with self._durable_window() as window:
-            with ExitStack() as stack:
-                for stripe in self._stripes.stripes_for(*keys):
-                    stack.enter_context(stripe.write_locked())
-                stack.enter_context(self._volume_lock.write_locked())
-                window.open()
-                yield
-                window.close()
-
-    @contextmanager
-    def _durable_window(self) -> Iterator[_CommitWindow]:
-        """The group-commit ack protocol in one place (used by every
-        mutation path): yields a window the caller opens/closes under the
-        volume lock; the wait runs here, outside all locks.  An exception
-        skips the wait — a failed op acknowledges nothing."""
-        window = _CommitWindow(self._txn if self._durable else None)
-        yield window
-        window.wait()
+        txn = self._txn
+        with self._volume_lock.write_locked():
+            before = txn.last_commit_seq if txn else 0
+            yield
+            after = txn.last_commit_seq if txn else 0
+        if after != before:
+            txn.wait_durable(after)
 
     # ------------------------------------------------------------------
     # plain namespace
@@ -415,70 +308,70 @@ class StegFSService:
     @_counted
     def create(self, path: str, data: bytes = b"") -> None:
         """Create a plain file."""
-        with self._exclusive(self._plain_key(path)):
+        with self._exclusive():
             self._steg.create(path, data)
 
     @service_op("plain", mutates=False, streams=True)
     @_counted
     def read(self, path: str) -> bytes:
         """Read a plain file."""
-        with self._shared(self._plain_key(path)):
+        with self._shared():
             return self._steg.read(path)
 
     @service_op("plain", mutates=True, streams=True)
     @_counted
     def write(self, path: str, data: bytes) -> None:
         """Replace a plain file's contents."""
-        with self._exclusive(self._plain_key(path)):
+        with self._exclusive():
             self._steg.write(path, data)
 
     @service_op("plain", mutates=True, streams=True)
     @_counted
     def append(self, path: str, data: bytes) -> None:
-        """Append to a plain file (read–modify–write, stripe-serialized)."""
-        with self._exclusive(self._plain_key(path)):
+        """Append to a plain file (read–modify–write under the volume lock)."""
+        with self._exclusive():
             self._steg.append(path, data)
 
     @service_op("plain", mutates=True)
     @_counted
     def unlink(self, path: str) -> None:
         """Delete a plain file."""
-        with self._exclusive(self._plain_key(path)):
+        with self._exclusive():
             self._steg.unlink(path)
 
     @service_op("plain", mutates=True)
     @_counted
     def mkdir(self, path: str) -> None:
         """Create a plain directory."""
-        with self._exclusive(self._plain_key(path)):
+        with self._exclusive():
             self._steg.mkdir(path)
 
     @service_op("plain", mutates=True)
     @_counted
     def rmdir(self, path: str) -> None:
         """Remove an empty plain directory."""
-        with self._exclusive(self._plain_key(path)):
+        with self._exclusive():
             self._steg.rmdir(path)
 
     @service_op("plain", mutates=False)
     @_counted
     def listdir(self, path: str = "/") -> list[str]:
         """List a plain directory."""
-        with self._shared(self._plain_key(path)):
+        with self._shared():
             return self._steg.listdir(path)
 
     @service_op("plain", mutates=False)
     @_counted
     def exists(self, path: str) -> bool:
         """Whether a plain path exists."""
-        with self._shared(self._plain_key(path)):
+        with self._shared():
             return self._steg.exists(path)
 
     @service_op("plain", mutates=False)
     @_counted
     def stat(self, path: str) -> FileStat:
         """Plain file metadata."""
-        with self._shared(self._plain_key(path)):
+        with self._shared():
             return self._steg.stat(path)
 
     # ------------------------------------------------------------------
@@ -496,28 +389,28 @@ class StegFSService:
         owner: str | None = None,
     ) -> None:
         """Create a hidden file or directory."""
-        with self._exclusive(self._hidden_key(objname, uak)):
+        with self._exclusive():
             self._steg.steg_create(objname, uak, objtype=objtype, data=data, owner=owner)
 
     @service_op("hidden", mutates=False, injects="uak", streams=True)
     @_counted
     def steg_read(self, objname: str, uak: bytes) -> bytes:
         """Read a hidden file."""
-        with self._shared(self._hidden_key(objname, uak)):
+        with self._shared():
             return self._steg.steg_read(objname, uak)
 
     @service_op("hidden", mutates=False, injects="uak", streams=True)
     @_counted
     def steg_read_extent(self, objname: str, uak: bytes, offset: int, length: int) -> bytes:
         """Read one extent of a hidden file (batched block run)."""
-        with self._shared(self._hidden_key(objname, uak)):
+        with self._shared():
             return self._steg.steg_read_extent(objname, uak, offset, length)
 
     @service_op("hidden", mutates=True, injects="uak", streams=True)
     @_counted
     def steg_write(self, objname: str, uak: bytes, data: bytes) -> None:
         """Replace a hidden file's contents."""
-        with self._exclusive(self._hidden_key(objname, uak)):
+        with self._exclusive():
             self._steg.steg_write(objname, uak, data)
 
     @service_op("hidden", mutates=True, injects="uak", streams=True)
@@ -525,7 +418,7 @@ class StegFSService:
     def steg_write_extent(self, objname: str, uak: bytes, offset: int, data: bytes) -> None:
         """Write one extent of a hidden file in place (batched run;
         grows the file when the extent reaches past the end)."""
-        with self._exclusive(self._hidden_key(objname, uak)):
+        with self._exclusive():
             self._steg.steg_write_extent(objname, uak, offset, data)
 
     @service_op("hidden", mutates=True, injects="uak", remote=False)
@@ -535,68 +428,52 @@ class StegFSService:
     ) -> bytes | None:
         """Atomically transform a hidden file: ``new = fn(current)``.
 
-        The object's stripe is held exclusively across the whole
-        read→compute→write cycle, so concurrent updates to the same
-        object cannot lose each other's effects; the global volume lock
-        is only taken around the I/O phases, so updates to *different*
-        objects overlap their compute.  ``fn`` returning ``None`` skips
-        the write.  Returns what was written (or ``None``).
+        The volume lock is held exclusively across read → ``fn`` → write,
+        so the update is atomic against every other operation and no
+        concurrent write is lost.  ``fn`` runs under that lock: it must
+        not call back into the service (the lock is not reentrant, so
+        such a call deadlocks).  ``fn`` returning ``None`` skips the
+        write.  Returns what was written (or ``None``).
         """
-        key = self._hidden_key(objname, uak)
-        stripes = self._stripes.stripes_for(key)
-        with self._durable_window() as window:
-            with ExitStack() as stack:
-                for stripe in stripes:
-                    stack.enter_context(stripe.write_locked())
-                with self._volume_lock.read_locked():
-                    current = self._steg.steg_read(objname, uak)
-                new = fn(current)
-                if new is None:
-                    return None
-                with self._volume_lock.write_locked():
-                    window.open()
-                    self._steg.steg_write(objname, uak, new)
-                    window.close()
+        with self._exclusive():
+            new = fn(self._steg.steg_read(objname, uak))
+            if new is not None:
+                self._steg.steg_write(objname, uak, new)
             return new
 
     @service_op("hidden", mutates=True, injects="uak")
     @_counted
     def steg_delete(self, objname: str, uak: bytes) -> None:
         """Delete a hidden object."""
-        with self._exclusive(self._hidden_key(objname, uak)):
+        with self._exclusive():
             self._steg.steg_delete(objname, uak)
 
     @service_op("hidden", mutates=False, injects="uak")
     @_counted
     def steg_list(self, uak: bytes, objname: str | None = None) -> list[str]:
         """List a hidden directory (the UAK root by default)."""
-        key = self._hidden_key(objname if objname is not None else "/", uak)
-        with self._shared(key):
+        with self._shared():
             return self._steg.steg_list(uak, objname)
 
     @service_op("hidden", mutates=True, injects="uak")
     @_counted
     def steg_hide(self, pathname: str, objname: str, uak: bytes) -> None:
-        """Convert a plain object into a hidden one (both stripes held)."""
-        with self._exclusive(
-            self._plain_key(pathname), self._hidden_key(objname, uak)
-        ):
+        """Convert a plain object into a hidden one."""
+        with self._exclusive():
             self._steg.steg_hide(pathname, objname, uak)
 
     @service_op("hidden", mutates=True, injects="uak")
     @_counted
     def steg_unhide(self, pathname: str, objname: str, uak: bytes) -> None:
         """Convert a hidden object back into a plain one."""
-        with self._exclusive(
-            self._plain_key(pathname), self._hidden_key(objname, uak)
-        ):
+        with self._exclusive():
             self._steg.steg_unhide(pathname, objname, uak)
 
     @service_op("hidden", mutates=True, injects="uak")
     @_counted
     def steg_revoke(self, objname: str, uak: bytes) -> None:
         """Re-key a hidden object, invalidating outstanding shares."""
-        with self._exclusive(self._hidden_key(objname, uak)):
+        with self._exclusive():
             self._steg.steg_revoke(objname, uak)
 
     # ------------------------------------------------------------------
@@ -620,7 +497,7 @@ class StegFSService:
     def connect(self, session_id: str, objname: str) -> None:
         """``steg_connect``: reveal a hidden object in the session."""
         with self._sessions.use(session_id) as record:
-            with record.lock, self._shared(self._session_key(record, objname)):
+            with record.lock, self._shared():
                 self._steg.steg_connect(objname, record.uak, session=record.session)
 
     @service_op("session", mutates=False, injects="session_id")
@@ -644,7 +521,7 @@ class StegFSService:
     def session_read(self, session_id: str, objname: str) -> bytes:
         """Read a connected object through the session."""
         with self._sessions.use(session_id) as record:
-            with record.lock, self._shared(self._session_key(record, objname)):
+            with record.lock, self._shared():
                 return record.session.read(objname)
 
     @service_op("session", mutates=True, injects="session_id", streams=True)
@@ -652,7 +529,7 @@ class StegFSService:
     def session_write(self, session_id: str, objname: str, data: bytes) -> None:
         """Write a connected object through the session."""
         with self._sessions.use(session_id) as record:
-            with record.lock, self._exclusive(self._session_key(record, objname)):
+            with record.lock, self._exclusive():
                 # Session writes bypass the facade, so open the fused
                 # transaction ourselves: object blocks and the bitmap
                 # commit as ONE journal record — a crash between them
@@ -662,9 +539,6 @@ class StegFSService:
                     self._steg.fs.mark_bitmap_dirty()
                     if self._steg.auto_flush:
                         self._steg.fs.flush()
-
-    def _session_key(self, record: ServiceSession, objname: str) -> str:
-        return self._hidden_key(objname, record.uak)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -683,12 +557,8 @@ class StegFSService:
     @_counted
     def dummy_tick(self) -> int | None:
         """One round of dummy-file churn, serialized like any mutation."""
-        with self._durable_window() as window:
-            with self._volume_lock.write_locked():
-                window.open()
-                updated = self._steg.dummy_tick()
-                window.close()
-            return updated
+        with self._exclusive():
+            return self._steg.dummy_tick()
 
     def dummy_interval(self, base_s: float, jitter: float = 0.5) -> float:
         """Draw the next churn delay from the volume RNG (local-only hook).
@@ -706,23 +576,16 @@ class StegFSService:
     # worker pool
     # ------------------------------------------------------------------
 
-    def dispatch(self, op: str, /, *args: Any, **kwargs: Any) -> Any:
-        """Call a registered operation by name (synchronously).
-
-        Routing goes through the shared op registry (:data:`OPS`), so a
-        misspelled name raises :class:`~repro.errors.UnknownOperationError`
-        instead of an ``AttributeError`` deep in ``getattr``.
-        """
-        lookup(self.OPS, op)
-        return getattr(self, op)(*args, **kwargs)
-
     def submit(
         self, op: str | Callable[..., Any], /, *args: Any, **kwargs: Any
     ) -> Future:
         """Dispatch an operation to the worker pool; returns its future.
 
         ``op`` is a registered operation name (``"steg_read"``) or any
-        callable.
+        callable.  Names route through the shared op registry
+        (:data:`OPS`), so a misspelled one raises
+        :class:`~repro.errors.UnknownOperationError` here, not an
+        ``AttributeError`` deep in ``getattr``.
         """
         if self._closed:
             raise ServiceClosedError("service has been shut down")
@@ -745,7 +608,7 @@ class StegFSService:
             # In-core hidden objects are keyed material in RAM: none
             # outlives the service that served them.
             self._steg.volume.objects.clear()
-        if self._restore_sync is not None:
+        if self._txn is not None:
             # Hand the volume back with its own durability policy: direct
             # StegFS use after the service must not silently lose the
             # per-mutation fsync auto_flush promised.

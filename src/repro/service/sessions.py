@@ -116,40 +116,20 @@ class SessionManager:
         with self._lock:
             return len(self._sessions)
 
-    def active_ids(self) -> list[str]:
-        """Ids of live sessions (after reaping idle ones)."""
-        self.evict_idle()
-        with self._lock:
-            return sorted(self._sessions)
-
-    # ------------------------------------------------------------------
-    # registration / authentication
-    # ------------------------------------------------------------------
-
-    def register_user(self, user_id: str, uak: bytes) -> None:
-        """Bind ``user_id`` to a UAK verifier ahead of time (optional —
-        the first ``open_session`` binds implicitly)."""
-        with self._lock:
-            self._bind_locked(user_id, uak)
-
-    def _bind_locked(self, user_id: str, uak: bytes) -> None:
-        known = self._verifiers.get(user_id)
-        candidate = _verifier(uak)
-        if known is None:
-            self._verifiers[user_id] = candidate
-        elif not constant_time_equal(known, candidate):
-            raise SessionAuthError(f"authentication failed for user {user_id!r}")
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def open_session(self, user_id: str, uak: bytes) -> ServiceSession:
-        """Authenticate and return a fresh live session."""
+        """Authenticate and return a fresh live session (the user's first
+        open binds their UAK verifier)."""
         self.evict_idle()
         now = self._clock()
+        candidate = _verifier(uak)
         with self._lock:
-            self._bind_locked(user_id, uak)
+            known = self._verifiers.setdefault(user_id, candidate)
+            if not constant_time_equal(known, candidate):
+                raise SessionAuthError(f"authentication failed for user {user_id!r}")
             session_id = secrets.token_hex(16)
             record = ServiceSession(
                 session_id=session_id,

@@ -87,11 +87,6 @@ class Reader:
         self._pos = 0
 
     @property
-    def position(self) -> int:
-        """Current read offset."""
-        return self._pos
-
-    @property
     def remaining(self) -> int:
         """Number of unread bytes."""
         return len(self._data) - self._pos

@@ -113,9 +113,9 @@ class TestOneObject:
         steg.steg_create("dir", UAK, objtype="d")
         steg.steg_connect("dir", UAK)
         steg.steg_create("dir/a", UAK, data=b"a")
-        assert steg.session.listdir("dir") == ["a"]
+        assert steg.steg_list(UAK, "dir") == ["a"]
         steg.steg_delete("dir/a", UAK)
-        assert steg.session.listdir("dir") == []
+        assert steg.steg_list(UAK, "dir") == []
 
     def test_two_sessions_of_one_service_share_the_object(self):
         steg = _mkfs(auto_flush=False)

@@ -185,7 +185,8 @@ class TestSessions:
         steg.steg_create("mine", uak, data=b"m")
         other = steg.new_session("bob")
         steg.steg_connect("mine", uak)
-        assert not other.is_connected("mine")
+        assert "mine" in steg.session.connected_names()
+        assert other.connected_names() == []
 
 
 class TestSharingAPIs:

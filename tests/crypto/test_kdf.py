@@ -41,7 +41,7 @@ class TestDeriveKey:
 class TestSubkey:
     def test_purposes_are_disjoint(self):
         master = derive_key("master")
-        purposes = ["encrypt", "signature", "locator", "mac", "directory", "pool"]
+        purposes = ["encrypt", "signature", "locator", "mac", "dummy"]
         keys = [subkey(master, p) for p in purposes]
         assert len(set(keys)) == len(keys)
 

@@ -41,7 +41,6 @@ def durable_service(crash_device):
         auto_flush=True,  # durable volume → service defaults to group commit
     )
     service = StegFSService(steg, max_workers=4)
-    assert service.stats.journal_source is not None
     yield service
     if not service.closed:
         service.close()
@@ -89,7 +88,7 @@ class TestDurableAckOverLiveSocket:
             with StegFSClient(*handle.address, pool_size=1) as client:
                 client.login(USER, UAK)
                 client.steg_create("metered", data=b"m" * 600)
-        snap = durable_service.stats.snapshot()
-        assert snap.journal is not None
-        assert snap.journal.commits >= 1
-        assert snap.journal.fsyncs >= 1  # the durable ack forced a barrier
+        journal = durable_service.steg.txn.stats.snapshot()
+        assert journal.commits >= 1
+        assert journal.fsyncs >= 1  # the durable ack forced a barrier
+        assert durable_service.stats.snapshot()["steg_create"].count == 1

@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricRegistry,
     Reservoir,
-    median,
     merge_snapshots,
     percentile,
 )
@@ -23,17 +22,12 @@ from repro.obs.metrics import (
 class TestPercentile:
     def test_empty_is_zero(self):
         assert percentile([], 95.0) == 0.0
-        assert median([]) == 0.0
 
     def test_nearest_rank_endpoints(self):
         data = [1.0, 2.0, 3.0, 4.0, 5.0]
         assert percentile(data, 0.0) == 1.0
         assert percentile(data, 100.0) == 5.0
         assert percentile(data, 50.0) == 3.0
-
-    def test_median_midpoint_for_even_n(self):
-        assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-        assert median([1.0, 2.0, 3.0]) == 2.0
 
 
 class TestReservoir:

@@ -1,4 +1,4 @@
-"""RWLock and LockStripes semantics."""
+"""RWLock semantics."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.service.locks import LockStripes, RWLock
+from repro.service.locks import RWLock
 
 
 class TestRWLock:
@@ -93,23 +93,3 @@ class TestRWLock:
         with pytest.raises(RuntimeError):
             lock.release_read()
 
-
-class TestLockStripes:
-    def test_same_key_same_stripe(self):
-        stripes = LockStripes(16)
-        assert stripes.for_key("a/b") is stripes.for_key("a/b")
-
-    def test_stripe_mapping_is_stable(self):
-        assert LockStripes(16).index_for("x") == LockStripes(16).index_for("x")
-
-    def test_stripes_for_deduplicates_and_orders(self):
-        stripes = LockStripes(4)
-        keys = [f"key-{i}" for i in range(32)]
-        result = stripes.stripes_for(*keys)
-        assert len(result) <= 4
-        indices = [stripes._stripes.index(lock) for lock in result]
-        assert indices == sorted(indices)
-
-    def test_invalid_stripe_count(self):
-        with pytest.raises(ValueError):
-            LockStripes(0)

@@ -56,16 +56,17 @@ class TestRegistryContents:
 
 class TestDispatch:
     def test_dispatch_routes_by_name(self, service, uak):
-        service.dispatch("steg_create", "doc", uak, data=b"via registry")
-        assert service.dispatch("steg_read", "doc", uak) == b"via registry"
+        service.submit("steg_create", "doc", uak, data=b"via registry").result()
+        assert service.submit("steg_read", "doc", uak).result() == b"via registry"
 
     def test_dispatch_unknown_op_is_typed_error(self, service):
         with pytest.raises(UnknownOperationError):
-            service.dispatch("stegg_read", "doc")
+            service.submit("stegg_read", "doc")
 
     def test_submit_rejects_unregistered_names(self, service):
+        # A private method is an attribute, but not an operation.
         with pytest.raises(UnknownOperationError):
-            service.submit("_hidden_key", "x", b"y")
+            service.submit("_exclusive")
 
     def test_submit_still_accepts_callables(self, service):
         assert service.submit(lambda: 41 + 1).result() == 42

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import (
@@ -10,6 +13,7 @@ from repro.errors import (
     ServiceClosedError,
     SessionAuthError,
 )
+from repro.service.service import StegFSService
 
 
 class TestPlainOps:
@@ -66,12 +70,90 @@ class TestHiddenOps:
         service.steg_revoke("shared", uak)
         assert service.steg_read("shared", uak) == b"v1"
 
-    def test_stripe_keys_canonicalize_path_spellings(self, service, uak):
-        """'a//b' and 'a/b' address one object, so they must share a stripe."""
-        cls = type(service)
-        assert cls._plain_key("/docs//a.txt") == cls._plain_key("/docs/a.txt/")
-        assert cls._hidden_key("dir//doc", uak) == cls._hidden_key("dir/doc", uak)
-        assert cls._hidden_key("doc", uak) != cls._hidden_key("doc", b"W" * 32)
+    def test_steg_update_is_atomic_against_a_write(self, service, uak, monkeypatch):
+        """A write to the object arriving while ``fn`` computes waits for
+        the update, then lands after it: both writes reach the volume."""
+        service.steg_create("doc", uak, data=b"a")
+        landed: list[bytes] = []
+        facade_write = service.steg.steg_write
+
+        def logged_write(objname, key, data):
+            landed.append(data)
+            facade_write(objname, key, data)
+
+        monkeypatch.setattr(service.steg, "steg_write", logged_write)
+        computing, release = threading.Event(), threading.Event()
+
+        def append_b(current: bytes) -> bytes:
+            computing.set()
+            assert release.wait(timeout=10)
+            return current + b"b"
+
+        update = service.submit("steg_update", "doc", uak, append_b)
+        assert computing.wait(timeout=10)
+        write = service.submit("steg_write", "doc", uak, b"w")
+        time.sleep(0.1)
+        assert not write.done()                          # held off by the update
+        release.set()
+        assert update.result(timeout=10) == b"ab"
+        write.result(timeout=10)
+        assert landed == [b"ab", b"w"]
+        assert service.steg_read("doc", uak) == b"w"
+
+
+class TestVolumeLock:
+    """Every object op takes the one volume lock exactly once, exclusive
+    iff it mutates: the lock-mode contract a replayed trace relies on."""
+
+    CALLS = {
+        "mkdir": lambda s, u, sid: s.mkdir("/d"),
+        "create": lambda s, u, sid: s.create("/d/f", b"x"),
+        "read": lambda s, u, sid: s.read("/d/f"),
+        "write": lambda s, u, sid: s.write("/d/f", b"y"),
+        "append": lambda s, u, sid: s.append("/d/f", b"z"),
+        "listdir": lambda s, u, sid: s.listdir("/d"),
+        "exists": lambda s, u, sid: s.exists("/d/f"),
+        "stat": lambda s, u, sid: s.stat("/d/f"),
+        "steg_hide": lambda s, u, sid: s.steg_hide("/d/f", "hid", u),
+        "steg_unhide": lambda s, u, sid: s.steg_unhide("/d/g", "hid", u),
+        "unlink": lambda s, u, sid: s.unlink("/d/g"),
+        "rmdir": lambda s, u, sid: s.rmdir("/d"),
+        "steg_create": lambda s, u, sid: s.steg_create("doc", u, data=b"0"),
+        "steg_read": lambda s, u, sid: s.steg_read("doc", u),
+        "steg_read_extent": lambda s, u, sid: s.steg_read_extent("doc", u, 0, 1),
+        "steg_write": lambda s, u, sid: s.steg_write("doc", u, b"1"),
+        "steg_write_extent": lambda s, u, sid: s.steg_write_extent("doc", u, 0, b"2"),
+        "steg_update": lambda s, u, sid: s.steg_update("doc", u, lambda cur: cur + b"3"),
+        "steg_list": lambda s, u, sid: s.steg_list(u),
+        "steg_revoke": lambda s, u, sid: s.steg_revoke("doc", u),
+        "connect": lambda s, u, sid: s.connect(sid, "doc"),
+        "session_read": lambda s, u, sid: s.session_read(sid, "doc"),
+        "session_write": lambda s, u, sid: s.session_write(sid, "doc", b"4"),
+        "steg_delete": lambda s, u, sid: s.steg_delete("doc", u),
+    }
+
+    def test_each_op_takes_the_volume_lock_once_in_its_mode(self, service, uak, monkeypatch):
+        ops = StegFSService.OPS
+        covered = {name for name, spec in ops.items() if spec.kind in ("plain", "hidden")}
+        assert set(self.CALLS) == covered | {"connect", "session_read", "session_write"}
+        sid = service.open_session("alice", uak)
+        taken: list[str] = []
+
+        def recorded(mode: str):
+            acquire = getattr(service._volume_lock, f"acquire_{mode}")
+
+            def wrapper() -> None:
+                taken.append(mode)
+                acquire()
+
+            return wrapper
+
+        for mode in ("read", "write"):
+            monkeypatch.setattr(service._volume_lock, f"acquire_{mode}", recorded(mode))
+        for name, call in self.CALLS.items():
+            taken.clear()
+            call(service, uak, sid)
+            assert taken == ["write" if ops[name].mutates else "read"], name
 
 
 class TestSessions:

@@ -41,9 +41,12 @@ class TestAuthentication:
             manager.open_session("alice", b"W" * 32)
 
     def test_explicit_registration(self, manager, uak):
-        manager.register_user("bob", uak)
+        """The first open registers the user; a rejected open neither
+        rebinds the key nor leaves a session behind."""
+        manager.open_session("bob", uak)
         with pytest.raises(SessionAuthError):
             manager.open_session("bob", b"X" * 32)
+        assert manager.active_count() == 1
         manager.open_session("bob", uak)
 
     def test_users_are_independent(self, manager, uak):
@@ -104,8 +107,10 @@ class TestIdleEviction:
         stale = manager.open_session("alice", uak)
         clock.advance(61.0)
         fresh = manager.open_session("alice", uak)       # triggers the reap
-        assert manager.active_ids() == [fresh.session_id]
-        assert stale.session_id not in manager.active_ids()
+        assert manager.active_count() == 1
+        assert manager.get(fresh.session_id) is fresh
+        with pytest.raises(SessionNotFoundError):
+            manager.get(stale.session_id)
 
     def test_no_timeout_means_no_eviction(self, service, clock, uak):
         manager = SessionManager(service.steg, idle_timeout=None, clock=clock)

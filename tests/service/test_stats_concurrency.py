@@ -42,7 +42,6 @@ class TestConcurrentRecord:
         n_threads, per_thread = 16, 2000
         _hammer(stats, n_threads, per_thread, ops)
         snap = stats.snapshot()
-        assert stats.total_ops == n_threads * per_thread
         assert sum(s.count for s in snap.values()) == n_threads * per_thread
         for slot, op in enumerate(ops):
             per_op = len([i for i in range(per_thread) if i % len(ops) == slot])
@@ -93,7 +92,7 @@ class TestConcurrentRecord:
             for thread in readers:
                 thread.join()
         assert not problems, problems[:5]
-        assert stats.total_ops == 8 * 1500
+        assert sum(s.count for s in stats.snapshot().values()) == 8 * 1500
 
     def test_reservoir_is_deterministic_for_a_serial_sequence(self):
         """The seeded replacement RNG stays repeatable when calls are

@@ -16,14 +16,21 @@ import repro.cluster.rebalance
 import repro.core.blockio
 import repro.core.dummy
 import repro.core.keys
+import repro.core.session
 import repro.crypto.kdf
 import repro.crypto.modes
 import repro.crypto.prng
 import repro.crypto.vector_aes
 import repro.net.client
 import repro.net.protocol
+import repro.obs.metrics
+import repro.service
+import repro.service.locks
+import repro.service.service
 import repro.storage
+import repro.util.serialization
 import repro.workload
+from repro.errors import InvalidKeyError
 
 
 @pytest.mark.parametrize("package", [repro, repro.cluster], ids=lambda m: m.__name__)
@@ -63,6 +70,27 @@ def test_orphan_packages_are_gone():
     # An instance attribute, so ask the class body: one session table.
     assert "_tokens" not in inspect.getsource(repro.StegFSServer)
     assert "durable" not in inspect.signature(repro.StegFSService).parameters
+
+
+def test_one_lock_per_volume():
+    assert not hasattr(repro.service, "LockStripes")
+    assert not hasattr(repro.service.locks, "LockStripes")
+    assert "n_stripes" not in inspect.signature(repro.StegFSService).parameters
+    for name in ("_plain_key", "_hidden_key", "_session_key", "_durable_window", "dispatch"):
+        assert not hasattr(repro.StegFSService, name)
+    # One route to each number, and no name without a caller.
+    assert not hasattr(repro.service.service, "StatsSnapshot")
+    assert not hasattr(repro.service.ServiceStats, "total_ops")
+    assert "journal_source" not in inspect.getsource(repro.service.ServiceStats)
+    assert not hasattr(repro.service.SessionManager, "register_user")
+    assert not hasattr(repro.service.SessionManager, "active_ids")
+    assert not hasattr(repro.core.session.Session, "is_connected")
+    assert not hasattr(repro.core.session.Session, "listdir")
+    assert not hasattr(repro.obs.metrics, "median")
+    assert not hasattr(repro.util.serialization.Reader, "position")
+    for purpose in ("directory", "pool", "level", "share", "backup"):
+        with pytest.raises(InvalidKeyError):
+            repro.crypto.kdf.subkey(bytes(32), purpose)
 
 
 def test_one_wire_client():

@@ -211,7 +211,7 @@ class FileSystem:
         if fill_random:
             device.fill_random(rng)
         if journal_blocks is None:
-            journal_blocks = default_journal_blocks(device.total_blocks)
+            journal_blocks = default_journal_blocks(device.total_blocks, device.block_size)
         layout = Layout.compute(
             device.block_size,
             device.total_blocks,

@@ -28,16 +28,23 @@ __all__ = ["Layout", "INODE_SIZE", "default_journal_blocks"]
 
 INODE_SIZE = 128
 
+#: The least log the default gives a volume that can spare it: about 30
+#: commits of a 16 KiB object at 1 KiB blocks.
+LOG_FLOOR_BYTES = 512 * 1024
 
-def default_journal_blocks(total_blocks: int) -> int:
-    """Journal size heuristic: ~1.5 % of the volume, floored and capped.
 
-    The floor keeps tiny test volumes above the journal's structural
-    minimum; the cap stops paper-scale volumes from reserving megabytes a
-    single transaction will never fill (oversized transactions take the
-    bypass path anyway).
+def default_journal_blocks(total_blocks: int, block_size: int) -> int:
+    """Journal size heuristic: sized by what commits, not by the volume alone.
+
+    ``1/64`` of the volume or :data:`LOG_FLOOR_BYTES`, whichever is more
+    blocks, so a small volume does not checkpoint every few writes.  The
+    ``1/16`` cap keeps tiny volumes mostly data; the floor of 16 keeps
+    them above the journal's structural minimum; the 4096 cap stops
+    paper-scale volumes from reserving megabytes a single transaction
+    will never fill (oversized transactions take the bypass path anyway).
     """
-    return max(16, min(total_blocks // 64, 4096))
+    wanted = max(total_blocks // 64, LOG_FLOOR_BYTES // block_size)
+    return max(16, min(wanted, total_blocks // 16, 4096))
 
 
 @dataclass(frozen=True)

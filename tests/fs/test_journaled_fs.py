@@ -5,11 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core import StegFS, StegFSParams
 from repro.errors import BadSuperblockError, NoSpaceError
 from repro.fs.filesystem import FileSystem
 from repro.fs.layout import Layout, default_journal_blocks
 from repro.fs.superblock import Superblock
+from repro.service.service import StegFSService
 from repro.storage.block_device import RamDevice
 from repro.storage.txn import JournaledDevice
 
@@ -32,8 +36,57 @@ class TestLayoutRegion:
             Layout.compute(1024, 4096, journal_blocks=-1)
 
     def test_default_heuristic_bounds(self):
-        assert default_journal_blocks(256) == 16
-        assert default_journal_blocks(1 << 20) == 4096
+        # (total blocks, block size) → log blocks: the 16-block floor, the
+        # 1/16 cap, the 512 KiB byte floor, 1/64 and the 4096 cap in turn.
+        table = {
+            (256, 1024): 16,
+            (2048, 1024): 128,
+            (8192, 1024): 512,  # a cluster_rf3 shard; 1/64 gave it 128
+            (16384, 4096): 256,
+            (32768, 1024): 512,
+            (1 << 20, 1024): 4096,
+        }
+        for (total, block_size), blocks in table.items():
+            assert default_journal_blocks(total, block_size) == blocks, (total, block_size)
+
+    @given(
+        total=st.integers(min_value=64, max_value=1 << 22),
+        block_size=st.sampled_from([512, 1024, 2048, 4096, 8192, 65536]),
+    )
+    def test_default_stays_in_bounds_and_never_shrinks(self, total, block_size):
+        blocks = default_journal_blocks(total, block_size)
+        assert 16 <= blocks <= max(16, total // 16)
+        assert blocks >= max(16, min(total // 64, 4096))  # the old 1/64 rule
+
+
+class TestDefaultLogSize:
+    """The shard geometry of ``cluster_rf3``: 8 MiB of 1 KiB blocks."""
+
+    @staticmethod
+    def _checkpoints_over_overwrites(journal_blocks: int | None) -> int:
+        steg = StegFS.mkfs(
+            RamDevice(1024, 8192),
+            params=StegFSParams.for_tests(),
+            rng=random.Random(8),
+            journal_blocks=journal_blocks,
+        )
+        service = StegFSService(steg, max_workers=1)
+        try:
+            uak = b"S" * 32
+            service.steg_create("replica", uak, data=bytes(16 * 1024))
+            before = steg.txn.stats.snapshot().checkpoints
+            for n in range(25):
+                service.steg_write("replica", uak, bytes([n]) * (16 * 1024))
+            assert service.steg_read("replica", uak) == bytes([24]) * (16 * 1024)
+            return steg.txn.stats.snapshot().checkpoints - before
+        finally:
+            service.close()
+
+    def test_25_object_writes_fit_the_default_log(self):
+        assert self._checkpoints_over_overwrites(None) == 0
+
+    def test_the_old_one_64th_log_fills_every_few_writes(self):
+        assert self._checkpoints_over_overwrites(8192 // 64) >= 3
 
 
 class TestSuperblockV2:

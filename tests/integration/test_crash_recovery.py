@@ -17,11 +17,11 @@ The sweep replays an identical deterministic workload from one shared
 durable base image, cutting at a different write each run.  The tier-1
 test samples cut points; the ``slow``-marked test covers every single one.
 
-That workload runs on the default 32-block log, which no write-back sweep
-fits inside; :class:`TestCrashAcrossWriteBack` repeats the property on a
-longer script whose every write — inside a sweep, between a sweep and the
-next commit, between a checkpoint's two barriers, after the header reset —
-is a cut point.
+That workload runs on an explicit 32-block log (``BASE_JOURNAL_BLOCKS``),
+which no write-back sweep fits inside; :class:`TestCrashAcrossWriteBack`
+repeats the property on a longer script whose every write — inside a
+sweep, between a sweep and the next commit, between a checkpoint's two
+barriers, after the header reset — is a cut point.
 """
 
 from __future__ import annotations
@@ -158,10 +158,15 @@ def _scenario(ops: list[Op], setup: list[Op] = (), **mkfs_kwargs) -> Scenario:
     return Scenario(device.durable_image(), model, ops)
 
 
+#: The main sweep's log size, explicit so that its cut points do not
+#: follow the default sizing policy.
+BASE_JOURNAL_BLOCKS = 32
+
+
 @pytest.fixture(scope="module")
 def base_image() -> Scenario:
     """One durable mkfs image every sweep run starts from."""
-    return _scenario(_workload())
+    return _scenario(_workload(), journal_blocks=BASE_JOURNAL_BLOCKS)
 
 
 def _run_to_cut(base_image: Scenario, cut: int | None) -> tuple[

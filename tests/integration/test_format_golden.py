@@ -28,9 +28,17 @@ def build_image() -> bytes:
     device = RamDevice(block_size=1024, total_blocks=2048)
     rng = random.Random(2003)
     steg = StegFS.mkfs(
-        device, params=StegFSParams.for_tests(), inode_count=64, rng=rng, auto_flush=False
+        device,
+        params=StegFSParams.for_tests(),
+        inode_count=64,
+        rng=rng,
+        auto_flush=False,
+        journal_blocks=32,
     )
-    assert steg.txn is not None  # the default log: the journal region is pinned too
+    # An explicit 32-block log (the size this volume had by default when
+    # ``GOLDEN`` was recorded): the pin covers the log's encoding, not the
+    # sizing policy, and the journal region is pinned too.
+    assert steg.txn is not None
     alice = derive_key("alice's passphrase", iterations=8)
     bob = derive_key("bob's passphrase", iterations=8)
 

@@ -84,6 +84,7 @@ from typing import (
     AsyncIterator,
     Awaitable,
     Callable,
+    Coroutine,
     Iterable,
     Mapping,
     Protocol,
@@ -121,6 +122,7 @@ from repro.errors import (
 from repro.obs.metrics import get_registry
 from repro.obs.trace import maybe_span
 from repro.service.aio import AsyncServiceFront
+from repro.util.loop_thread import LoopThread
 
 if TYPE_CHECKING:
     from repro.cluster.rebalance import RebalanceReport
@@ -1524,9 +1526,11 @@ class AsyncClusterClient:
 class BlockingClusterClient:
     """Threaded facade over an :class:`AsyncClusterClient`.
 
-    Runs a private event loop on a daemon thread, builds the async
+    Runs a private event loop on a daemon thread (a
+    :class:`~repro.util.loop_thread.LoopThread`, the one
+    :class:`~repro.net.client.StegFSClient` uses too), builds the async
     client there, and exposes the familiar blocking cluster surface by
-    submitting each call with ``run_coroutine_threadsafe`` — the async
+    submitting each call onto that loop — the async
     data plane (pipelined legs, hedged reads, early-ack writes)
     without the caller adopting asyncio.  Safe for many threads; every
     operation is serialized onto the one loop.
@@ -1551,11 +1555,7 @@ class BlockingClusterClient:
         from repro.cluster import rebalance  # it imports this module
 
         self._rebalance = rebalance
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="stegfs-cluster-aio", daemon=True
-        )
-        self._thread.start()
+        self._loop = LoopThread("stegfs-cluster-aio")
         self._closed = False
 
         async def build() -> AsyncClusterClient:
@@ -1565,23 +1565,16 @@ class BlockingClusterClient:
             return built
 
         try:
-            self._client = asyncio.run_coroutine_threadsafe(
-                build(), self._loop
-            ).result()
+            self._client = self._loop.run(build())
         except BaseException:
-            self._shutdown_loop()
+            self._loop.close()
             raise
 
-    def _shutdown_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._loop.close()
-
-    def _run(self, coro: Awaitable[Any]) -> Any:
+    def _run(self, coro: Coroutine[Any, Any, Any]) -> Any:
         if self._closed:
-            coro.close()  # type: ignore[attr-defined]
+            coro.close()
             raise ClusterError("cluster client has been closed")
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+        return self._loop.run(coro)
 
     @property
     def async_client(self) -> AsyncClusterClient:
@@ -1732,12 +1725,10 @@ class BlockingClusterClient:
         if self._closed:
             return
         try:
-            asyncio.run_coroutine_threadsafe(
-                self._client.close(), self._loop
-            ).result()
+            self._loop.run(self._client.close())
         finally:
             self._closed = True
-            self._shutdown_loop()
+            self._loop.close()
 
     def __enter__(self) -> "BlockingClusterClient":
         return self

@@ -12,9 +12,10 @@ design (:mod:`repro.service`) was shaped for:
   service's worker pool, enforces per-connection backpressure and frame
   limits, and authenticates users with an HMAC challenge–response
   handshake (the UAK never crosses the wire).
-* :mod:`repro.net.client` — a blocking :class:`StegFSClient` with a
-  connection pool for threaded callers, an :class:`AsyncStegFSClient`
-  with pipelined request ids, both speaking the same codec.
+* :mod:`repro.net.client` — an :class:`AsyncStegFSClient` with
+  pipelined request ids over a small connection pool, and
+  :class:`StegFSClient`, a thread-safe blocking facade that drives one
+  from a private event loop thread.
 
 Quickstart (server side)::
 

@@ -1,4 +1,4 @@
-"""Remote StegFS clients: one wire client under two ways of moving bytes.
+"""Remote StegFS clients: one transport, and a thread-safe facade over it.
 
 Both clients speak the :mod:`repro.net.protocol` codec and mirror the
 service surface one-to-one, with one deliberate difference: hidden and
@@ -9,27 +9,30 @@ key is used locally as MAC-key material and never stored on the client
 object, let alone written to a socket.
 
 Everything a caller can observe is written once: the verbs
-(:class:`_WireVerbs`), how a request is built (:meth:`_Connection._request`)
-and what a reply means (:func:`settle`).  The two clients differ only in
-how bytes move:
+(:class:`_WireVerbs`), how a request is built (:meth:`_AsyncConn._request`)
+and what a reply means (:func:`settle`).  Bytes move one way:
 
-* :class:`StegFSClient` — synchronous, safe for many threads: a small
-  LIFO connection pool hands each in-flight call a private socket, so
-  callers never interleave frames.  ``pool_size`` bounds both sockets and
-  concurrency.
 * :class:`AsyncStegFSClient` — ``pool_size`` long-lived connections,
   fully pipelined: requests carry correlation ids, a background reader
   task per connection resolves each pending future as its response
   arrives, so ``asyncio.gather`` over many calls keeps every link
-  saturated without a thread or socket per in-flight operation.
+  saturated without a thread or socket per in-flight operation.  Its
+  one receive path is :func:`~repro.net.protocol.read_message` with a
+  :class:`~repro.net.protocol.FrameAssembler`; a streamed read runs on
+  a private connection that receives one frame, into one reusable
+  buffer, per piece the consumer asks for.
+* :class:`StegFSClient` — the same client for threaded callers: each
+  call is the async verb, submitted onto a private event loop thread
+  (:class:`~repro.util.loop_thread.LoopThread`), with ``timeout``
+  bounding it from the caller's side.
 
-**Delivery is at most once, on both.**  A dead connection is found
-*before* a request is sent — the blocking pool tests a socket as it
-leaves the idle queue, the async pool skips connections whose reader has
-exited — and replaced by a fresh dial.  A call whose connection dies or
-times out *in flight* raises its typed error once and is never replayed:
-the client cannot know whether the server applied it, so the caller
-decides.  The next call dials fresh.
+**Delivery is at most once.**  A dead connection is found *before* a
+request is sent — the pool skips connections whose reader has exited and
+redials once all have — so a connection that died idle costs the caller
+nothing.  A call whose connection dies or times out *in flight* raises
+its typed error once and is never replayed: the client cannot know
+whether the server applied it, so the caller decides.  A late reply is
+dropped by its request id.
 
 Typed errors raised inside the server arrive as the *same*
 :mod:`repro.errors` class with the same message (see
@@ -39,13 +42,8 @@ Typed errors raised inside the server arrive as the *same*
 from __future__ import annotations
 
 import asyncio
-import queue
-import select
-import socket
 import struct
-import threading
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, AsyncIterator, Coroutine, Iterator
 
 from repro.errors import ConnectionClosedError, HandshakeError, ProtocolError
 from repro.fs.filesystem import FileStat
@@ -56,7 +54,6 @@ from repro.net.protocol import (
     ChunkFrame,
     ErrorFrame,
     FrameAssembler,
-    FrameReceiver,
     Request,
     Response,
     _RESPONSE,
@@ -64,9 +61,9 @@ from repro.net.protocol import (
     auth_proof,
     error_to_exception,
     read_message,
-    sendmsg_all,
 )
 from repro.obs.trace import current_context, maybe_span
+from repro.util.loop_thread import LoopThread
 
 __all__ = ["AsyncStegFSClient", "StegFSClient", "fetch_hidden"]
 
@@ -102,178 +99,74 @@ def settle(frame: Any, request_id: int) -> tuple[Any, Exception | None]:
 _STREAM_HEAD = struct.Struct("<BIBI")
 
 
-class _Connection:
-    """What both byte-movers share: frame limits, request ids, request building."""
+class _FrameStream(asyncio.BufferedProtocol):
+    """The receive half of a streamed read's connection.
 
-    def __init__(self, max_frame: int, max_message: int) -> None:
-        self.max_frame = max_frame
-        self.max_message = max_message
-        self.next_id = 1
+    :meth:`get_buffer` hands out the unread rest of the current length
+    prefix, or of the body in one reusable, grow-only frame buffer: no
+    read crosses a frame boundary and nothing is copied on the way in.  A
+    finished frame waits for the consumer with the socket paused, so TCP
+    backpressure holds the server and the stream holds one frame.
+    """
 
-    def _request(self, op: str, args: tuple[Any, ...]) -> tuple[int, list[list]]:
-        """Allocate an id and encode one request into its wire frames.
+    def __init__(self, max_frame: int) -> None:
+        self._max_frame = max_frame
+        self._prefix = memoryview(bytearray(4))
+        self._frame = bytearray(min(max_frame, 64 * 1024))
+        self._target, self._filled = self._prefix, 0
+        self._body: memoryview | None = None
+        self._end: Exception | None = None
+        self._ready = asyncio.Event()
+        self.transport: Any = None
 
-        Runs before anything is registered or sent, so a request refused
-        locally (``FrameTooLargeError``) leaves no state behind.  Callers
-        hold the ``net.client.<op>`` span open around it: inside a trace
-        that span's context rides the request's optional trace field, so
-        the server's spans hang off the round trip; outside a trace both
-        are free no-ops.
-        """
-        request_id = self.next_id
-        self.next_id += 1
-        request = Request(
-            request_id=request_id, op=op, args=args, trace_ctx=current_context()
-        )
-        # Through the module, not an imported name: instrumentation that
-        # wraps the codec in repro.net.protocol must see the client's share.
-        wire = protocol.encode_message_vectored(
-            request, max_frame=self.max_frame, max_message=self.max_message
-        )
-        return request_id, wire
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
 
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._target[self._filled :]
 
-class _PooledConnection(_Connection):
-    """One checked-out socket: send the request, receive its reply."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float | None,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        max_message: int = DEFAULT_MAX_MESSAGE,
-    ) -> None:
-        super().__init__(max_frame, max_message)
-        self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # One reusable receive buffer + chunk reassembly per socket.
-        self.receiver = FrameReceiver(max_frame=max_frame, max_message=max_message)
-        #: False from the first byte of a request until its exchange has
-        #: been fully consumed (see :func:`settle`) — the pool's
-        #: keep/evict signal.
-        self.clean = True
-
-    def readable(self) -> bool:
-        """Whether an *idle* socket has something to read — it is dead.
-
-        Nothing is outstanding on an idle connection, so readable means
-        EOF, a reset or an unsolicited frame.
-        """
+    def buffer_updated(self, nbytes: int) -> None:
+        self._filled += nbytes
+        if self._filled < len(self._target):
+            return
+        self._filled = 0
+        if self._target is not self._prefix:
+            self._body, self._target = self._target, self._prefix
+            self.transport.pause_reading()
+            self._ready.set()
+            return
+        length = protocol._LEN.unpack(self._prefix)[0]
         try:
-            return bool(select.select([self.sock], [], [], 0)[0])
-        except (OSError, ValueError):  # closed locally: no descriptor left
-            return True
+            protocol._check_length(length, self._max_frame)
+        except ProtocolError as exc:
+            self._end = exc
+            self.transport.abort()
+            return
+        if length > len(self._frame):
+            self._frame = bytearray(length)
+        self._target = memoryview(self._frame)[:length]
 
-    def _send(self, wire: list[list]) -> None:
-        self.clean = False
-        for buffers in wire:
-            sendmsg_all(self.sock, buffers)
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._end is None:
+            mid_frame = self._filled or self._target is not self._prefix
+            self._end = exc or (
+                ProtocolError("connection dropped mid-frame")
+                if mid_frame
+                else ConnectionClosedError("server closed the connection")
+            )
+        self._ready.set()
 
-    def _settle(self, frame: Any, request_id: int) -> Any:
-        value, error = settle(frame, request_id)
-        self.clean = True
-        if error is not None:
-            raise error
-        return value
-
-    def call(self, op: str, args: tuple[Any, ...]) -> Any:
-        with maybe_span(f"net.client.{op}"):
-            request_id, wire = self._request(op, args)
-            self._send(wire)
-            return self._settle(self.receiver.recv_message(self.sock), request_id)
-
-    def stream(self, op: str, args: tuple[Any, ...]) -> Iterator[bytes]:
-        """Issue one bytes-returning op and yield its payload incrementally.
-
-        A streamed RESPONSE arrives as CHUNK frames; each chunk's data
-        portion is yielded as soon as it is off the wire, so the full
-        payload is never buffered client-side.  A small (unchunked)
-        response yields its whole value once.  ``clean`` stays False
-        while frames may remain unread — the pool evicts on that.
-        """
-        with maybe_span(f"net.client.{op}"):
-            request_id, wire = self._request(op, args)
-            self._send(wire)
-            head = bytearray()
-            value_len: int | None = None
-            got = 0
-            next_seq = 0
-            while True:
-                frame = self.receiver.recv_wire(self.sock, zero_copy=True)
-                if not isinstance(frame, ChunkFrame):
-                    # Whole-frame reply: an error, or a payload small
-                    # enough that the server never chunked it.
-                    value = self._settle(frame, request_id)
-                    if not isinstance(value, (bytes, bytearray, memoryview)):
-                        raise ProtocolError(
-                            f"streamed operation {op!r} returned "
-                            f"{type(value).__name__}, expected bytes"
-                        )
-                    yield bytes(value)
-                    return
-                if frame.request_id != request_id:
-                    raise ProtocolError(
-                        f"chunk correlation mismatch: sent {request_id}, "
-                        f"got {frame.request_id}"
-                    )
-                if frame.seq != next_seq:
-                    raise ProtocolError(
-                        f"chunk seq {frame.seq}, expected {next_seq}"
-                    )
-                next_seq += 1
-                payload = memoryview(frame.payload)
-                if value_len is None:
-                    # Accumulate the fixed response prefix (spread over
-                    # chunks only under absurdly small frame limits).
-                    take = min(_STREAM_HEAD.size - len(head), len(payload))
-                    head += payload[:take]
-                    payload = payload[take:]
-                    if len(head) < _STREAM_HEAD.size:
-                        if frame.is_end:
-                            raise ProtocolError(
-                                "streamed response ended inside its header"
-                            )
-                        continue
-                    kind, rid, tag, value_len = _STREAM_HEAD.unpack(head)
-                    if kind != _RESPONSE:
-                        raise ProtocolError(
-                            f"streamed frame kind {kind}, expected RESPONSE"
-                        )
-                    if rid != request_id:
-                        raise ProtocolError(
-                            f"response correlation mismatch: sent "
-                            f"{request_id}, got {rid}"
-                        )
-                    if tag != _T_BYTES:
-                        raise ProtocolError(
-                            f"streamed operation {op!r} returned value tag "
-                            f"{tag}, expected bytes"
-                        )
-                got += len(payload)
-                if got > value_len:
-                    raise ProtocolError(
-                        f"streamed response overran its declared "
-                        f"{value_len}-byte value"
-                    )
-                if len(payload):
-                    # Copy out: the view aliases the reusable receive
-                    # buffer, which the next recv overwrites.
-                    yield bytes(payload)
-                if frame.is_end:
-                    if got != value_len:
-                        raise ProtocolError(
-                            f"streamed response ended at {got} of "
-                            f"{value_len} value bytes"
-                        )
-                    self.clean = True
-                    return
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+    async def next_body(self) -> memoryview:
+        """The next frame's body, valid until the next call; the stream's
+        end raises its cause."""
+        while self._body is None:
+            if self._end is not None:
+                raise self._end
+            self._ready.clear()
+            await self._ready.wait()
+        body, self._body = self._body, None
+        self.transport.resume_reading()
+        return body
 
 
 class _WireVerbs:
@@ -282,11 +175,12 @@ class _WireVerbs:
     One method per ``remote=True`` op of ``StegFSService.OPS``, each a
     single ``return self._call(op, ...)`` that sends the session token
     first where the op injects a credential, then the op's wire
-    arguments in registry order.  :meth:`StegFSClient._call` performs the
-    exchange and returns the value; :meth:`AsyncStegFSClient._call`
-    returns the awaitable of it — so ``client.steg_read(x)`` and ``await
-    aclient.steg_read(x)`` run the same line, and the annotated return
-    types read "awaitable of" on the async client.
+    arguments in registry order.  :meth:`AsyncStegFSClient._call`
+    returns the awaitable of the exchange; :meth:`StegFSClient._call`
+    runs that awaitable on its loop thread and returns the value — so
+    ``client.steg_read(x)`` and ``await aclient.steg_read(x)`` run the
+    same line, and the annotated return types read "awaitable of" on the
+    async client.
     """
 
     _token: bytes | None
@@ -460,192 +354,22 @@ class _WireVerbs:
         return self._call("obs_deniability")
 
 
-class StegFSClient(_WireVerbs):
-    """Blocking remote client with a connection pool for threaded callers.
+class _AsyncConn:
+    """One connection: its streams, its reader task, its pending futures.
 
-    Each call checks a connection out of the pool, performs one
-    request/response exchange on it, and returns it — so ``pool_size``
-    threads can issue operations concurrently without sharing a socket.
-    The session token obtained by :meth:`login` is shared by every pooled
-    connection (tokens are server-global).
-
-    A socket that died while idle in the pool (server restart, NAT
-    timeout) is found as it is checked out and replaced by a fresh dial,
-    so it costs the caller nothing.  A call whose connection dies or
-    hits ``timeout`` in flight raises once and is never replayed.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        pool_size: int = 1,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        max_message: int = DEFAULT_MAX_MESSAGE,
-        timeout: float | None = 30.0,
-    ) -> None:
-        if pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-        self._host = host
-        self._port = port
-        self._pool_size = pool_size
-        self._max_frame = max_frame
-        self._max_message = max(max_message, max_frame)
-        self._timeout = timeout
-        self._idle: queue.LifoQueue[_PooledConnection] = queue.LifoQueue()
-        self._created = 0
-        self._pool_lock = threading.Lock()
-        self._token: bytes | None = None
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # pool plumbing
-    # ------------------------------------------------------------------
-
-    def _acquire(self) -> _PooledConnection:
-        """Check a live connection out of the pool (creating up to the cap)."""
-        if self._closed:
-            raise ConnectionClosedError("client has been closed")
-        while True:
-            try:
-                conn = self._idle.get_nowait()
-            except queue.Empty:
-                break
-            if not conn.readable():
-                return conn
-            self._evict(conn)
-        create = False
-        with self._pool_lock:
-            if self._created < self._pool_size:
-                self._created += 1
-                create = True
-        if create:
-            try:
-                return _PooledConnection(
-                    self._host,
-                    self._port,
-                    self._timeout,
-                    self._max_frame,
-                    self._max_message,
-                )
-            except BaseException:
-                with self._pool_lock:
-                    self._created -= 1
-                raise
-        # Block *outside* the pool lock: a connection becomes free when
-        # another thread returns or drops one, and that drop path needs
-        # the lock itself.
-        return self._idle.get()
-
-    def _release(self, conn: _PooledConnection) -> None:
-        """Return a healthy connection to the pool."""
-        self._idle.put(conn)
-
-    def _evict(self, conn: _PooledConnection) -> None:
-        """Drop a desynchronized or dead connection from the pool."""
-        conn.close()
-        with self._pool_lock:
-            self._created -= 1
-
-    @contextmanager
-    def _connection(self) -> Iterator[_PooledConnection]:
-        conn = self._acquire()
-        try:
-            yield conn
-        finally:
-            # Keep the socket only when its last exchange ran to the end:
-            # a typed remote error is a complete, well-framed exchange; a
-            # transport or protocol failure, a timeout or an abandoned
-            # stream leaves frames unread or the peer gone.
-            if conn.clean:
-                self._release(conn)
-            else:
-                self._evict(conn)
-
-    def _call(self, op: str, *args: Any) -> Any:
-        with self._connection() as conn:
-            return conn.call(op, args)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def ping(self) -> bool:
-        """Round-trip liveness check."""
-        return self._call("ping")
-
-    def login(self, user_id: str, uak: bytes) -> None:
-        """HMAC challenge–response handshake; stores only the token.
-
-        Both legs run on one pooled connection (challenges are scoped to
-        the connection that issued them).
-        """
-        with self._connection() as conn:
-            nonce = conn.call("hello", (user_id,))
-            proof = auth_proof(uak, nonce, user_id)
-            self._token = conn.call("authenticate", (user_id, proof))
-
-    def logout(self) -> None:
-        """Close the remote session and forget the token."""
-        token = self._require_token()
-        self._token = None
-        self._call("close_session", token)
-
-    def close(self) -> None:
-        """Close every pooled socket (the remote session is left to idle
-        eviction unless :meth:`logout` ran first)."""
-        self._closed = True
-        while True:
-            try:
-                self._idle.get_nowait().close()
-            except queue.Empty:
-                break
-
-    def __enter__(self) -> "StegFSClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def steg_read_stream(
-        self, objname: str, offset: int = 0, length: int | None = None
-    ) -> Iterator[bytes]:
-        """Read a hidden file (or one extent) as an iterator of chunks.
-
-        Yields payload pieces as they come off the wire — bounded by the
-        connection's ``max_frame`` — so a multi-gigabyte hidden object
-        never materializes client-side.  ``b"".join(...)`` of the pieces
-        equals :meth:`steg_read` / :meth:`steg_read_extent` byte for byte.
-
-        The one blocking-only verb: it is a second reading of the
-        ``steg_read`` / ``steg_read_extent`` ops, not an op of its own,
-        and the pipelined client reassembles whole replies.  A consumer
-        that abandons the iterator mid-stream leaves unread frames on
-        the socket, so the connection is dropped rather than pooled.
-        """
-        token = self._require_token()
-        if length is None:
-            if offset:
-                raise ValueError("offset requires an explicit length")
-            op, args = "steg_read", (token, objname)
-        else:
-            op, args = "steg_read_extent", (token, objname, offset, length)
-        with self._connection() as conn:
-            yield from conn.stream(op, args)
-
-
-class _AsyncConn(_Connection):
-    """One pipelined connection: streams, reader task, pending futures.
-
-    Not shared across event loops.  All coordination objects (the write
-    lock, the pending futures) belong to the loop that opened it.
+    A pool connection (:meth:`open`) is pipelined: requests carry ids and
+    its reader task resolves each pending future as the reply arrives.  A
+    stream connection (:meth:`stream`) carries one streamed read and is
+    closed with it.  Not shared across event loops: the write lock and
+    the futures belong to the loop that opened it.
     """
 
     def __init__(
         self, max_frame: int, max_message: int = DEFAULT_MAX_MESSAGE
     ) -> None:
-        super().__init__(max_frame, max_message)
+        self.max_frame = max_frame
+        self.max_message = max_message
+        self.next_id = 1
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.reader_task: asyncio.Task | None = None
@@ -653,6 +377,56 @@ class _AsyncConn(_Connection):
         self.pending: dict[int, asyncio.Future] = {}
         self.assembler = FrameAssembler(max_message=max_message)
         self.dead_error: Exception | None = None
+
+    def _request(self, op: str, args: tuple[Any, ...]) -> tuple[int, list[list]]:
+        """Allocate an id and encode one request into its wire frames.
+
+        Runs before anything is registered or sent, so a request refused
+        locally (``FrameTooLargeError``) leaves no state behind.  Callers
+        hold the ``net.client.<op>`` span open around it: inside a trace
+        that span's context rides the request's optional trace field, so
+        the server's spans hang off the round trip; outside a trace both
+        are free no-ops.
+        """
+        request_id = self.next_id
+        self.next_id += 1
+        request = Request(
+            request_id=request_id, op=op, args=args, trace_ctx=current_context()
+        )
+        # Through the module, not an imported name: instrumentation that
+        # wraps the codec in repro.net.protocol must see the client's share.
+        wire = protocol.encode_message_vectored(
+            request, max_frame=self.max_frame, max_message=self.max_message
+        )
+        return request_id, wire
+
+    @property
+    def alive(self) -> bool:
+        """Whether a request sent now could still be answered: the reader
+        task runs and the socket has not delivered the peer's FIN."""
+        assert self.reader is not None
+        return self.dead_error is None and not self.reader.at_eof()
+
+    async def _send(self, wire: list[list]) -> None:
+        assert self.writer is not None
+        written = 0
+        try:
+            for buffers in wire:
+                # Lock per wire frame: chunks of a large streamed request
+                # interleave with other calls instead of blocking them.
+                async with self.write_lock:
+                    self.writer.writelines(buffers)
+                    written += 1
+                    await self.writer.drain()
+        except asyncio.CancelledError:
+            if 0 < written < len(wire):
+                # The server holds this id's partial message for as long
+                # as the connection lives; only dropping it frees that.
+                self.dead_error = ConnectionClosedError(
+                    "a cancelled call left its request half-sent"
+                )
+                self.writer.transport.abort()
+            raise
 
     async def open(self, host: str, port: int) -> None:
         self.reader, self.writer = await asyncio.open_connection(host, port)
@@ -700,18 +474,113 @@ class _AsyncConn(_Connection):
             # The reader task already exited: nothing will ever resolve a
             # newly registered future, so fail now with the original cause.
             raise type(self.dead_error)(str(self.dead_error))
-        assert self.writer is not None
         with maybe_span(f"net.client.{op}"):
             request_id, wire = self._request(op, args)
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             self.pending[request_id] = future
-            for buffers in wire:
-                # Lock per wire frame: chunks of a large streamed request
-                # interleave with other calls instead of blocking them.
-                async with self.write_lock:
-                    self.writer.writelines(buffers)
-                    await self.writer.drain()
-            return await future
+            try:
+                await self._send(wire)
+                return await future
+            finally:
+                # A cancelled or timed-out caller takes its entry along: a
+                # reply may never come, and a late one is dropped by its id.
+                self.pending.pop(request_id, None)
+
+    async def stream(
+        self, host: str, port: int, op: str, args: tuple[Any, ...]
+    ) -> AsyncIterator[bytes]:
+        """Dial, send one bytes-returning request, yield its value piecewise.
+
+        The connection carries this one exchange and closes with the
+        generator.  Each piece is one CHUNK's share of the value, read
+        when the consumer asks for it: nothing is read ahead, so while
+        the consumer lags TCP backpressure holds the server and the
+        stream buffers about one ``max_frame``.  A whole-frame reply (an
+        error, or a value small enough that the server never chunked it)
+        is settled and yielded in one piece.  The socket is read into
+        one frame's buffer at a time (:class:`_FrameStream`).
+        """
+        loop = asyncio.get_running_loop()
+        transport, frames = await loop.create_connection(
+            lambda: _FrameStream(self.max_frame), host, port
+        )
+        try:
+            with maybe_span(f"net.client.{op}"):
+                request_id, wire = self._request(op, args)
+                for buffers in wire:
+                    transport.writelines(buffers)
+            head = bytearray()
+            value_len: int | None = None
+            got = 0
+            next_seq = 0
+            while True:
+                # Zero-copy views of the reusable frame buffer: every piece
+                # is copied out before the next frame is read over them.
+                frame = protocol.decode_frame(await frames.next_body(), zero_copy=True)
+                if not isinstance(frame, ChunkFrame):
+                    value, error = settle(frame, request_id)
+                    if error is not None:
+                        raise error
+                    if not isinstance(value, (bytes, bytearray, memoryview)):
+                        raise ProtocolError(
+                            f"streamed operation {op!r} returned "
+                            f"{type(value).__name__}, expected bytes"
+                        )
+                    yield bytes(value)
+                    return
+                if frame.request_id != request_id:
+                    raise ProtocolError(
+                        f"chunk correlation mismatch: sent {request_id}, "
+                        f"got {frame.request_id}"
+                    )
+                if frame.seq != next_seq:
+                    raise ProtocolError(f"chunk seq {frame.seq}, expected {next_seq}")
+                next_seq += 1
+                payload = memoryview(frame.payload)
+                if value_len is None:
+                    # Accumulate the fixed response prefix (spread over
+                    # chunks only under absurdly small frame limits).
+                    take = min(_STREAM_HEAD.size - len(head), len(payload))
+                    head += payload[:take]
+                    payload = payload[take:]
+                    if len(head) < _STREAM_HEAD.size:
+                        if frame.is_end:
+                            raise ProtocolError(
+                                "streamed response ended inside its header"
+                            )
+                        continue
+                    kind, rid, tag, value_len = _STREAM_HEAD.unpack(head)
+                    if kind != _RESPONSE:
+                        raise ProtocolError(
+                            f"streamed frame kind {kind}, expected RESPONSE"
+                        )
+                    if rid != request_id:
+                        raise ProtocolError(
+                            f"response correlation mismatch: sent "
+                            f"{request_id}, got {rid}"
+                        )
+                    if tag != _T_BYTES:
+                        raise ProtocolError(
+                            f"streamed operation {op!r} returned value tag "
+                            f"{tag}, expected bytes"
+                        )
+                got += len(payload)
+                if got > value_len:
+                    raise ProtocolError(
+                        f"streamed response overran its declared "
+                        f"{value_len}-byte value"
+                    )
+                if frame.is_end and got != value_len:
+                    raise ProtocolError(
+                        f"streamed response ended at {got} of "
+                        f"{value_len} value bytes"
+                    )
+                if len(payload):
+                    yield bytes(payload)
+                if frame.is_end:
+                    return
+        finally:
+            transport.close()
 
     async def close(self) -> None:
         if self.reader_task is not None:
@@ -750,10 +619,10 @@ class AsyncStegFSClient(_WireVerbs):
     framing becomes the bottleneck under heavy fan-out, as in the
     cluster coordinator's pipelined shard legs.
 
-    Like the blocking client's pool, this one survives a server restart:
-    once every pooled connection has died, the next call redials the
-    pool.  The call that was in flight when the connection died still
-    fails — nothing is replayed — and a session token issued by the old
+    The pool survives a server restart: once every pooled connection
+    has died, the next call redials the pool.  The call that was in
+    flight when the connection died still fails — nothing is
+    replayed — and a session token issued by the old
     server process does not carry over: :meth:`login` again.
 
     Not thread-safe: one instance belongs to one event loop.  Threaded
@@ -785,6 +654,8 @@ class AsyncStegFSClient(_WireVerbs):
         self._conns: list[_AsyncConn] = []
         self._rr = 0
         self._redial_lock = asyncio.Lock()
+        # Set by StegFSClient: the first call dials the pool, not open().
+        self._dial_lazily = False
         self._token: bytes | None = None
 
     async def open(self) -> "AsyncStegFSClient":
@@ -809,36 +680,40 @@ class AsyncStegFSClient(_WireVerbs):
         await self.close()
 
     def _pick(self) -> _AsyncConn | None:
-        """Next live connection, round-robin; ``None`` when all have died."""
-        if not self._conns:
+        """Next live connection, round-robin; ``None`` when none is."""
+        if not self._conns and not self._dial_lazily:
             raise ConnectionClosedError("client is not connected: call open() first")
         start = self._rr
-        self._rr = (self._rr + 1) % len(self._conns)
         for offset in range(len(self._conns)):
             conn = self._conns[(start + offset) % len(self._conns)]
-            if conn.dead_error is None:
+            if conn.alive:
+                self._rr = (start + offset + 1) % len(self._conns)
                 return conn
         return None
 
     async def _live_conn(self) -> _AsyncConn:
-        """A live connection, redialling the pool if every one has died.
+        """A live connection, dialling the pool if every one has died (or,
+        dialling lazily, none was opened yet).
 
-        A server that cannot be reached surfaces as the error that
+        A server that cannot be redialled surfaces as the error that
         killed the old connections, so callers keep seeing one cause.
         """
         conn = self._pick()
         if conn is not None:
             return conn
         async with self._redial_lock:
-            conn = self._pick()  # a concurrent caller may have redialled
+            conn = self._pick()  # a concurrent caller may have dialled
             if conn is not None:
                 return conn
             dead = self._conns
             try:
                 await self.open()
             except OSError:
-                cause = dead[0].dead_error
-                assert cause is not None
+                if not dead:
+                    raise
+                cause = dead[0].dead_error or ConnectionClosedError(
+                    "server closed the connection"
+                )
                 raise type(cause)(str(cause)) from None
             for conn in dead:
                 await conn.close()
@@ -879,6 +754,155 @@ class AsyncStegFSClient(_WireVerbs):
         conns, self._conns = self._conns, []
         for conn in conns:
             await conn.close()
+
+    def steg_read_stream(
+        self, objname: str, offset: int = 0, length: int | None = None
+    ) -> AsyncIterator[bytes]:
+        """Read a hidden file (or one extent) as an async iterator of pieces.
+
+        Yields payload pieces as they come off the wire — each at most
+        ``max_frame`` — so a multi-gigabyte hidden object never
+        materializes client-side.  ``b"".join(...)`` of the pieces equals
+        :meth:`steg_read` / :meth:`steg_read_extent` byte for byte.
+
+        Not an op of its own but a second reading of ``steg_read`` /
+        ``steg_read_extent``: the pool reassembles whole replies, so each
+        stream dials a private connection, and closing the iterator
+        (or abandoning it) closes that connection.
+        """
+        token = self._require_token()
+        if length is None:
+            if offset:
+                raise ValueError("offset requires an explicit length")
+            op, args = "steg_read", (token, objname)
+        else:
+            op, args = "steg_read_extent", (token, objname, offset, length)
+        conn = _AsyncConn(self._max_frame, self._max_message)
+        return conn.stream(self._host, self._port, op, args)
+
+
+class StegFSClient(_WireVerbs):
+    """Blocking remote client, safe for many threads.
+
+    A facade over an :class:`AsyncStegFSClient` that lives on a private
+    event loop thread (:class:`~repro.util.loop_thread.LoopThread`): each
+    call is the async client's verb, submitted onto that loop, so threads
+    share ``pool_size`` pipelined connections instead of holding one
+    socket each.  The pool is dialled by the first call, not by the
+    constructor.
+
+    ``timeout`` bounds each call, the first dial included, from the
+    caller's side: on expiry the call is cancelled and raises
+    :class:`TimeoutError` once.  It is never replayed — the server may
+    have applied it — and its reply, should it come, is dropped by its
+    request id, so the connection stays in the pool.  Only a call
+    cancelled between the frames of a chunked request costs its
+    connection: the server would hold the partial message for as long as
+    that lived.  A connection that dies is skipped, and the pool
+    redialled once all have died, exactly as on the async client.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        pool_size: int = 1,
+        max_frame: int = DEFAULT_MAX_FRAME,
+        max_message: int = DEFAULT_MAX_MESSAGE,
+        timeout: float | None = 30.0,
+    ) -> None:
+        self._aio = AsyncStegFSClient(
+            host,
+            port,
+            pool_size=pool_size,
+            max_frame=max_frame,
+            max_message=max_message,
+        )
+        self._aio._dial_lazily = True
+        self._timeout = timeout
+        self._closed = False
+        self._loop = LoopThread("stegfs-client-aio")
+
+    @property
+    def _token(self) -> bytes | None:
+        return self._aio._token
+
+    @_token.setter
+    def _token(self, token: bytes | None) -> None:
+        self._aio._token = token
+
+    def _run(self, call: Coroutine[Any, Any, Any]) -> Any:
+        """Await ``call`` on the loop thread, bounded by ``timeout``."""
+        if self._closed:
+            call.close()
+            raise ConnectionClosedError("client has been closed")
+        return self._loop.run(call, self._timeout)
+
+    def _call(self, op: str, *args: Any) -> Any:
+        return self._run(self._aio._call(op, *args))
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+
+    def open(self) -> "StegFSClient":
+        """Dial the pool now rather than at the first call."""
+        self._run(self._aio._live_conn())
+        return self
+
+    def ping(self) -> bool:
+        """Round-trip liveness check."""
+        return self._call("ping")
+
+    def login(self, user_id: str, uak: bytes) -> None:
+        """HMAC challenge–response handshake; stores only the token."""
+        self._run(self._aio.login(user_id, uak))
+
+    def logout(self) -> None:
+        """Close the remote session and forget the token."""
+        self._run(self._aio.logout())
+
+    def close(self) -> None:
+        """Close every connection and stop the loop thread (the remote
+        session is left to idle eviction unless :meth:`logout` ran first)."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._loop.run(self._aio.close(), self._timeout)
+        finally:
+            self._loop.close()
+
+    def __enter__(self) -> "StegFSClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def steg_read_stream(
+        self, objname: str, offset: int = 0, length: int | None = None
+    ) -> Iterator[bytes]:
+        """:meth:`AsyncStegFSClient.steg_read_stream`, one piece per ``next``.
+
+        ``timeout`` bounds each piece.  Closing the iterator early closes
+        the stream's private connection.
+        """
+        stream = self._aio.steg_read_stream(objname, offset, length)
+        while True:
+            # A piece that fails or times out has already ended the
+            # stream, and with it the connection; only an abandoned one
+            # needs closing from here.
+            try:
+                piece = self._run(anext(stream))
+            except StopAsyncIteration:
+                return
+            try:
+                yield piece
+            except GeneratorExit:
+                if not self._closed:
+                    self._loop.run(stream.aclose())
+                raise
 
 
 def fetch_hidden(host: str, port: int, user_id: str, uak: bytes, objname: str) -> bytes:

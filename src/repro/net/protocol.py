@@ -31,8 +31,8 @@ checked body).  Requests without the field decode exactly as before.
 **Values** are a small tagged union covering everything the service API
 speaks: ``None``, booleans, signed 64-bit integers, floats, bytes, UTF-8
 strings, homogeneous-or-not lists, and :class:`~repro.fs.filesystem.
-FileStat` records.  The codec is transport-neutral; the asyncio server,
-the async client and the blocking socket client all share it.
+FileStat` records.  The codec is transport-neutral; the asyncio server
+and the asyncio client (under its blocking facade too) share it.
 
 **Typed errors** round-trip the :mod:`repro.errors` hierarchy: an
 ``ERROR`` frame carries the exception's class name and message, and
@@ -59,11 +59,10 @@ structure to the wire beyond the 10-byte chunk header.
 **Zero-copy discipline** — the encode side never copies large payloads:
 :func:`encode_frame_vectored` / :func:`encode_message_vectored` return
 lists of buffers (small header bytes plus ``memoryview`` slices of the
-caller's payload) for ``socket.sendmsg`` / ``StreamWriter.writelines``.
-The receive side reads into preallocated buffers (``recv_into``; one
-reusable buffer per :class:`FrameReceiver`) and can expose decoded bytes
-values as ``memoryview`` slices (``zero_copy=True``) when the backing
-buffer's lifetime allows it.
+caller's payload) for ``StreamWriter.writelines`` / ``socket.sendmsg``.
+Every client and the server receive through :func:`read_message` (or
+:func:`read_frame`), whose frame bodies are fresh buffers, so decoded
+bytes values may be ``memoryview`` slices of them (``zero_copy=True``).
 
 **Limits** — both sides enforce ``max_frame`` on encode *and* decode, so
 neither a hostile peer nor an oversized payload can balloon memory; a
@@ -770,8 +769,9 @@ def error_to_exception(frame: ErrorFrame) -> Exception:
 
 
 # ---------------------------------------------------------------------------
-# transport helpers (shared by the asyncio server/client and the blocking
-# socket client — one codec, three fronts)
+# transport helpers: read_frame / read_message are the one receive path of
+# the asyncio server and client; FrameReceiver / sendmsg_all below are a
+# blocking-socket harness
 # ---------------------------------------------------------------------------
 
 
@@ -878,9 +878,10 @@ class _RecvBuffer:
 class FrameReceiver:
     """Blocking-socket receive half: reusable buffer plus reassembly.
 
-    One per connection.  :meth:`recv_message` returns logical frames
-    (chunks reassembled); :meth:`recv_wire` returns raw wire frames for
-    callers that stream incrementally.
+    No client uses it; with :func:`sendmsg_all` it is a harness that
+    drives the codec over a plain socket, where the tests poke a server
+    with hand-made bytes and the stegbench codec probe times encode and
+    decode without an event loop in the measurement.
     """
 
     def __init__(
@@ -905,20 +906,10 @@ class FrameReceiver:
             raise ProtocolError("connection dropped mid-frame")
         return body
 
-    def recv_wire(self, sock: socket.socket, *, zero_copy: bool = False) -> Frame:
-        """One wire frame (possibly a CHUNK); typed error on EOF.
-
-        Zero-copy values alias the reusable buffer: they are valid only
-        until the next receive on this connection.
-        """
-        return decode_frame(self._recv_body(sock), zero_copy=zero_copy)
-
-    def recv_message(self, sock: socket.socket, *, zero_copy: bool = False) -> Frame:
+    def recv_message(self, sock: socket.socket) -> Frame:
         """One logical frame, reassembling streamed chunks.
 
-        Non-chunked frames always decode with copies (their bodies alias
-        the reusable buffer); ``zero_copy`` applies to *assembled*
-        streamed bodies, which are fresh per message and safe to alias.
+        Frames decode with copies: their bodies alias the reusable buffer.
         """
         while True:
             body = self._recv_body(sock)
@@ -928,7 +919,7 @@ class FrameReceiver:
             # assembler's extend() copies it out before the next read.
             assembled = self._assembler.add(decode_frame(body, zero_copy=True))
             if assembled is not None:
-                return decode_frame(assembled, zero_copy=zero_copy)
+                return decode_frame(assembled)
 
 
 #: Iovec batch size per sendmsg call (IOV_MAX is ~1024 on Linux; stay

@@ -93,6 +93,7 @@ from repro.service.aio import AsyncServiceFront
 from repro.service.registry import OpSpec
 from repro.service.service import StegFSService
 from repro.service.sessions import ServiceSession
+from repro.util.loop_thread import LoopThread
 
 __all__ = ["ServerHandle", "ServerStats", "StegFSServer", "start_in_thread"]
 
@@ -173,7 +174,6 @@ class StegFSServer:
         self._credentials_lock = threading.Lock()
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
-        self._stopped = asyncio.Event()
         self.stats = ServerStats()
 
     # ------------------------------------------------------------------
@@ -208,17 +208,8 @@ class StegFSServer:
             self._handle_connection, self._host, self._port
         )
 
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`request_stop` has been called."""
-        await self._stopped.wait()
-
-    def request_stop(self) -> None:
-        """Ask the accept loop to shut down (safe from loop callbacks)."""
-        self._stopped.set()
-
     async def stop(self) -> None:
         """Stop accepting, tear down live connections, keep the service up."""
-        self._stopped.set()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -482,19 +473,12 @@ class StegFSServer:
 
 
 class ServerHandle:
-    """A server running on its own daemon thread with a private event loop."""
+    """A server running on a private event loop thread."""
 
-    def __init__(
-        self,
-        server: StegFSServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-        address: tuple[str, int],
-    ) -> None:
+    def __init__(self, server: StegFSServer, loop: LoopThread) -> None:
         self.server = server
-        self.address = address
-        self._loop = loop
-        self._thread = thread
+        self.address = server.address
+        self._loop: LoopThread | None = loop
 
     @property
     def host(self) -> str:
@@ -507,10 +491,13 @@ class ServerHandle:
         return self.address[1]
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Shut the server down and join its thread."""
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.server.request_stop)
-            self._thread.join(timeout)
+        """Shut the server down and stop its loop thread."""
+        loop, self._loop = self._loop, None
+        if loop is not None:
+            try:
+                loop.run(self.server.stop(), timeout)
+            finally:
+                loop.close()
 
     def __enter__(self) -> "ServerHandle":
         return self
@@ -530,51 +517,29 @@ def start_in_thread(
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     startup_timeout: float = 10.0,
 ) -> ServerHandle:
-    """Run a :class:`StegFSServer` on a daemon thread; returns its handle.
+    """Run a :class:`StegFSServer` on a private event loop thread
+    (:class:`~repro.util.loop_thread.LoopThread`); returns its handle.
 
-    The thread owns a private event loop: ``handle.stop()`` shuts the
-    server down and joins the thread.  Port ``0`` binds an ephemeral port,
-    reported in ``handle.address``.
+    ``handle.stop()`` shuts the server down and stops the thread.  Port
+    ``0`` binds an ephemeral port, reported in ``handle.address``.
     """
-    started = threading.Event()
-    holder: dict[str, Any] = {}
 
-    def runner() -> None:
-        async def main() -> None:
-            server = StegFSServer(
-                service,
-                host,
-                port,
-                credentials=credentials,
-                max_frame=max_frame,
-                max_message=max_message,
-                max_inflight=max_inflight,
-            )
-            try:
-                await server.start()
-            except Exception as exc:
-                holder["error"] = exc
-                started.set()
-                return
-            holder["server"] = server
-            holder["loop"] = asyncio.get_running_loop()
-            holder["address"] = server.address
-            started.set()
-            await server.wait_stopped()
-            await server.stop()
+    async def start() -> StegFSServer:
+        server = StegFSServer(
+            service,
+            host,
+            port,
+            credentials=credentials,
+            max_frame=max_frame,
+            max_message=max_message,
+            max_inflight=max_inflight,
+        )
+        await server.start()
+        return server
 
-        asyncio.run(main())
-
-    thread = threading.Thread(target=runner, name="stegfs-net", daemon=True)
-    thread.start()
-    if not started.wait(startup_timeout):
-        raise RuntimeError("server failed to start within the timeout")
-    if "error" in holder:
-        thread.join(startup_timeout)
-        raise holder["error"]
-    return ServerHandle(
-        server=holder["server"],
-        loop=holder["loop"],
-        thread=thread,
-        address=holder["address"],
-    )
+    loop = LoopThread("stegfs-net")
+    try:
+        return ServerHandle(loop.run(start(), startup_timeout), loop)
+    except BaseException:
+        loop.close()
+        raise

@@ -19,7 +19,9 @@ it ``StegFSServer`` and the cluster's embedded shards) dispatches ops via
 ``run_in_executor``, which runs the callable in a bare worker-thread
 context — the front wraps the call with :meth:`Tracer.activate` / token
 reset.  The cluster coordinator's fan-out legs are tasks, which copy the
-caller's context on creation and so see the parent span unaided.
+caller's context on creation and so see the parent span unaided; so do
+the calls the blocking facades submit onto their loop thread
+(:class:`~repro.util.loop_thread.LoopThread`).
 
 Deniability: spans live only in a bounded in-RAM ring; ids come from
 ``os.urandom`` (never the FS RNGs, so allocation patterns are identical

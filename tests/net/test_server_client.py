@@ -381,8 +381,7 @@ class TestReviewRegressions:
     """Regression coverage for review findings on the first cut."""
 
     def test_pool_of_one_survives_typed_errors_under_contention(self, address):
-        # Finding: blocking on the idle queue while holding the pool lock
-        # deadlocked against the error path's lock acquisition.  With one
+        # Finding: a blocking pool once deadlocked here.  With one
         # pooled connection and several threads provoking typed errors,
         # every call must still complete.
         with StegFSClient(*address, pool_size=1) as client:

@@ -10,12 +10,17 @@ Three layers of pinning:
   identical frame, across the boundary sizes the issue calls out
   (0, 1, frame-boundary ± 1, 3 × max_frame);
 * **transport plumbing** — ``sendmsg_all`` + ``FrameReceiver`` move real
-  bytes over a socketpair, including partial-send and huge-iovec paths.
+  bytes over a socketpair, including partial-send and huge-iovec paths;
+* **hostile peer** — a Hypothesis fuzz target feeds arbitrary and mutated
+  byte streams through :func:`read_message`, the one receive path every
+  client and the server use.
 """
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +39,7 @@ from repro.net.protocol import (
     encode_frame,
     encode_frame_vectored,
     encode_message_vectored,
+    read_message,
     sendmsg_all,
 )
 
@@ -341,3 +347,110 @@ class TestSocketTransport:
                 FrameReceiver(max_frame=MAX_FRAME).recv_message(b)
         finally:
             b.close()
+
+
+# ---------------------------------------------------------------------------
+# hostile peer: fuzzing the one receive path
+# ---------------------------------------------------------------------------
+
+FUZZ_FRAME = 256
+FUZZ_MESSAGE = 1024
+
+
+def _wire(frame) -> list[bytes]:
+    """One logical frame as the wire frames a peer would send."""
+    return [
+        b"".join(bytes(b) for b in buffers)
+        for buffers in encode_message_vectored(
+            frame, max_frame=FUZZ_FRAME, max_message=8 * FUZZ_MESSAGE
+        )
+    ]
+
+
+_ids = st.integers(min_value=0, max_value=3)
+#: Payload sizes: up to a frame, or around the message limit (the runs
+#: whose last chunk decides between a frame and a refusal).
+_payloads = st.one_of(
+    st.integers(0, FUZZ_FRAME), st.integers(FUZZ_MESSAGE - 32, FUZZ_MESSAGE + 32)
+).map(lambda n: bytes([n % 251]) * n)
+_values = st.one_of(st.none(), st.integers(-5, 5), st.text(max_size=8), _payloads)
+_frames = st.one_of(
+    st.builds(lambda rid, v: Response(request_id=rid, value=v), _ids, _values),
+    st.builds(lambda rid, v: Request(request_id=rid, op="ping", args=(v,)), _ids, _values),
+    st.builds(
+        lambda rid, m: ErrorFrame(request_id=rid, error_class="ProtocolError", message=m),
+        _ids,
+        st.text(max_size=16),
+    ),
+)
+#: Wire pieces: mostly well-formed frames (chunked past FUZZ_FRAME, so
+#: CHUNK runs of several ids), else a length prefix over arbitrary bytes
+#: or bare garbage.
+_pieces = st.one_of(
+    _frames.map(_wire),
+    _frames.map(_wire),
+    st.binary(max_size=300).map(lambda body: [struct.pack("<I", len(body)) + body]),
+    st.tuples(st.integers(0, (1 << 32) - 1), st.binary(max_size=64)).map(
+        lambda t: [struct.pack("<I", t[0]) + t[1]]
+    ),
+    st.binary(max_size=32).map(lambda junk: [junk]),
+)
+
+
+def _fits(frame) -> bool:
+    """Whether ``frame``'s body is within the message limit."""
+    return len(encode_frame(frame)) - 4 <= FUZZ_MESSAGE
+
+
+@st.composite
+def _hostile_streams(draw) -> bytes:
+    """A peer's whole stream; each distortion applies to some draws only,
+    so well-formed runs reach their end often enough to be checked too."""
+    wire = [frame for piece in draw(st.lists(_pieces, max_size=8)) for frame in piece]
+    if draw(st.booleans()):
+        wire = draw(st.permutations(wire))  # interleave ids, break seq order
+    data = bytearray(b"".join(wire))
+    if data and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))) :]  # the peer hangs up mid-stream
+    return bytes(data)
+
+
+async def _drain(data: bytes) -> list:
+    """Loop ``read_message`` over ``data`` as a peer's whole stream."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    reader.feed_eof()
+    assembler = FrameAssembler(max_message=FUZZ_MESSAGE)
+    frames = []
+    while True:
+        try:
+            frame = await asyncio.wait_for(
+                read_message(reader, FUZZ_FRAME, assembler=assembler), timeout=5
+            )
+        except (ProtocolError, FrameTooLargeError):
+            return frames
+        finally:
+            assert all(len(buf) <= FUZZ_MESSAGE for buf, _ in assembler._partials.values())
+        if frame is None:
+            return frames
+        assert isinstance(frame, (Request, Response, ErrorFrame))
+        assert _fits(frame)
+        frames.append(frame)
+
+
+class TestHostilePeer:
+    @settings(max_examples=300, deadline=None)
+    @given(_hostile_streams())
+    def test_read_message_survives_any_byte_stream(self, data):
+        # Each step yields a frame, ends at EOF, or raises a typed wire
+        # error; anything else (or a hang, caught by wait_for) fails.
+        asyncio.run(_drain(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_frames.filter(_fits), max_size=6))
+    def test_well_formed_streams_read_back(self, frames):
+        data = b"".join(wire for frame in frames for wire in _wire(frame))
+        assert asyncio.run(_drain(data)) == frames

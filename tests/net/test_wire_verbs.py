@@ -52,6 +52,5 @@ def test_every_verb_sends_its_op_in_registry_order(client_class, monkeypatch):
     assert sent == []
 
 
-def test_steg_read_stream_is_the_one_blocking_only_verb():
-    assert _public(StegFSClient) - _public(AsyncStegFSClient) == {"steg_read_stream"}
-    assert "blocking-only" in StegFSClient.steg_read_stream.__doc__
+def test_both_clients_have_the_same_public_surface():
+    assert _public(StegFSClient) == _public(AsyncStegFSClient)
